@@ -40,11 +40,11 @@ def main() -> None:
     print("  -> the double well exists only in the deformed regime")
 
     out = Path(__file__).with_name("landscape_grid.csv")
-    cells = landscape_grid(params, (cfg.re_min, cfg.re_max), (cfg.im_min, cfg.im_max), cfg.resolution)
+    grid = landscape_grid(params, (cfg.re_min, cfg.re_max), (cfg.im_min, cfg.im_max), cfg.resolution)
     with out.open("w") as fh:
         fh.write("re,im,e_total\n")
-        for c in cells:
-            fh.write(f"{c.re},{c.im},{c.e_total}\n")
+        for re, im, e in zip(grid["re"].tolist(), grid["im"].tolist(), grid["e_total"].tolist()):
+            fh.write(f"{re},{im},{e}\n")
     print(f"\nwrote {cfg.resolution}x{cfg.resolution} grid to {out.name} "
           f"(plot with: gnuplot> set dgrid3d; splot '{out.name}' u 1:2:3 w pm3d)")
 

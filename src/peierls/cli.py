@@ -4,7 +4,8 @@ Subcommands: landscape, critical-points, spectrum, dynamics,
 kink-spectrum, kink-propagate, validate.  Every run writes a CSV dataset
 plus a metadata JSON embedding the effective config and a schema version,
 so any artifact can be re-run from its metadata alone.  Identical configs
-produce byte-identical CSV, independent of the worker count.
+produce byte-identical CSV.  ``--workers`` is accepted (and must be >= 1)
+but has no effect: landscape grids are evaluated as arrays in one process.
 
 Exit codes: 0 ok, 1 validation failure, 2 config/domain error,
 3 numerical failure.
@@ -17,7 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -58,7 +59,7 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
@@ -80,21 +81,26 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_landscape(config: RunConfig, args: argparse.Namespace) -> int:
-    cells = landscape_grid(
+    grid = landscape_grid(
         config.model_params(),
         (config.re_min, config.re_max),
         (config.im_min, config.im_max),
         config.resolution,
         phonon_norm=config.phonon_norm,  # type: ignore[arg-type]
-        workers=config.workers,
     )
+    columns = ["re", "im", "e_phonon", "e_electronic", "e_total"]
+    in_domain = grid["in_domain"]
+    # Python floats, so that _fmt writes their repr
+    values = [grid[name].tolist() for name in columns]
+    status = np.where(in_domain, "ok", "domain").tolist()
     out = _out_dir(args)
-    _write_csv(
-        out / "landscape.csv",
-        ["re", "im", "e_phonon", "e_electronic", "e_total", "status"],
-        [(c.re, c.im, c.e_phonon, c.e_electronic, c.e_total, c.status) for c in cells],
+    _write_csv(out / "landscape.csv", [*columns, "status"], zip(*values, status))
+    _write_metadata(
+        out / "landscape.json",
+        "landscape",
+        config,
+        {"cells": len(status), "domain_cells": int(np.count_nonzero(~in_domain))},
     )
-    _write_metadata(out / "landscape.json", "landscape", config, {"cells": len(cells)})
     return EXIT_OK
 
 
@@ -304,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a single config field (repeatable; highest precedence)",
         )
-        p.add_argument("--workers", type=int, help="worker processes for grid evaluation")
+        p.add_argument("--workers", type=int, help="accepted for compatibility (>= 1); has no effect")
         p.add_argument("--phonon-norm", choices=["per-cell", "per-site"], help="phonon normalization")
     return parser
 

@@ -10,7 +10,7 @@ from the metadata alone.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -52,7 +52,7 @@ class RunConfig:
     im_min: float = -0.3
     im_max: float = 0.3
     resolution: int = 41
-    workers: int = 1
+    workers: int = 1  # accepted and range-checked; grids are evaluated in one process
     # critical-point search
     seed_rings: tuple[float, ...] = (0.05, 0.12)
     seed_angles: int = 8
@@ -198,7 +198,3 @@ def reference_config_path(name: str) -> Path:
     if not path.is_file():
         raise ConfigError(f"no reference config named {name!r}")
     return path
-
-
-def with_updates(config: RunConfig, **updates: Any) -> RunConfig:
-    return replace(config, **updates)

@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
-from .algebra import xi
 from .landscape import (
     DomainError,
     PhononNorm,
+    d_electronic_d_loc,
     total_gradient,
 )
-from .model import CoherentAmplitude, ModelParams, effective_coupling
-from .special import de_dm, elliptic_e
+from .model import CoherentAmplitude, ModelParams
 
 __all__ = [
     "PhaseState",
@@ -58,32 +57,17 @@ class Trajectory:
 
 
 def script_p(params: ModelParams, x: float, p: float, strict_paper: bool = False) -> float:
-    """The drive kernel P(x, p).
+    """The drive kernel P(x, p) = -(2*sqrt(2)/pi) * dE_el/d(loc) at loc = u.
 
-    (4*sqrt(2)*g/pi) * sinh(u)/(xi*(q+1/q)) * (E(m) - xi*(E(m)-F(m))/(m*cosh(u)^2))
-    with u = sqrt(2)*(zeta*x + kappa*p), m = 1 - xi*tanh(u)^2 and E, F in
-    the hypergeometric normalization.  (E-F)/m is series-evaluated near
-    m = 0; the sinh(u) factor makes the value vanish at u = 0.
+    u = sqrt(2)*(zeta*x + kappa*p) and dE_el/d(loc) is the slope of the
+    continuum electronic density (`landscape.d_electronic_d_loc`), which
+    raises `DomainError` where m = 1 - xi*tanh(u)^2 leaves [-1, 1].  In the
+    hypergeometric normalization this is the originally written form
+    (4*sqrt(2)*g/pi) * sinh(u)/(xi*(q+1/q)) * (E(m) - xi*(E(m)-F(m))/(m*cosh(u)^2)).
     """
     zeta, kappa = (1.0, 1.0) if strict_paper else (params.zeta, params.kappa)
     u = math.sqrt(2.0) * (zeta * x + kappa * p)
-    if u == 0.0:
-        return 0.0
-    q = params.q
-    xq = xi(q, params.w)
-    m = 1.0 - xq * math.tanh(u) ** 2
-    if abs(m) > 1.0:
-        raise DomainError(f"elliptic parameter m={m} outside [-1, 1]")
-    g = effective_coupling(params)
-    pref = 4.0 * math.sqrt(2.0) * g / (math.pi * xq * (q + 1.0 / q))
-    # bracket in hypergeometric normalization; (E-F)/m == (4/pi) dE/dm
-    if m == 1.0:
-        # u small enough that m rounds to 1; the log-divergent dE/dm term
-        # is suppressed by tanh(u)^2 and drops out
-        bracket = (2.0 / math.pi) * elliptic_e(m)
-    else:
-        bracket = (2.0 / math.pi) * elliptic_e(m) - xq * (4.0 / math.pi) * de_dm(m) / math.cosh(u) ** 2
-    return pref * math.sinh(u) * bracket
+    return -(2.0 * math.sqrt(2.0) / math.pi) * d_electronic_d_loc(params, u)
 
 
 def script_p_x(params: ModelParams, x: float, p: float, strict_paper: bool = False) -> float:

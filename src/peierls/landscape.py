@@ -5,19 +5,21 @@ of the continuum limit) or as the finite-L sum of per-mode lower
 eigenvalues.  Critical points of the total density are located by damped
 Newton iteration on the analytic gradient and classified by a
 central-difference Hessian; the off-origin double minimum together with
-the saddle at the origin is the numerical Peierls check.
+the saddle at the origin is the numerical Peierls check.  Grids are
+evaluated as numpy arrays in one process; the ``workers`` config field and
+``--workers`` flag are accepted and have no effect.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
+from scipy.special import ellipe
 
-from .algebra import xi
+from .algebra import _deformed_generators, xi
 from .model import CoherentAmplitude, ModelParams, effective_coupling, state_location
 from .special import de_dm, elliptic_e
 
@@ -31,7 +33,6 @@ __all__ = [
     "electronic_prefactor",
     "elliptic_parameter",
     "d_electronic_d_loc",
-    "d2_electronic_d_loc2",
     "total_gradient",
     "electronic_density_modesum",
     "domain_limit",
@@ -70,15 +71,15 @@ def phonon_energy_total(z: CoherentAmplitude, big_l: int) -> float:
     return 2.0 * big_l * (4.0 * z.re**2 + z.im**2 + 0.75)
 
 
-def electronic_prefactor(params: ModelParams, loc: float) -> float:
-    """p_q = (2/pi) g q^w cosh(loc)."""
+def electronic_prefactor(params: ModelParams, loc: float | np.ndarray) -> float | np.ndarray:
+    """p_q = (2/pi) g q^w cosh(loc), elementwise over an array of locations."""
     g = effective_coupling(params)
-    return (2.0 / math.pi) * g * params.q**params.w * math.cosh(loc)
+    return (2.0 / math.pi) * g * params.q**params.w * np.cosh(loc)
 
 
-def elliptic_parameter(params: ModelParams, loc: float) -> float:
-    """m_q = 1 - xi_q tanh(loc)^2."""
-    return 1.0 - xi(params.q, params.w) * math.tanh(loc) ** 2
+def elliptic_parameter(params: ModelParams, loc: float | np.ndarray) -> float | np.ndarray:
+    """m_q = 1 - xi_q tanh(loc)^2, elementwise over an array of locations."""
+    return 1.0 - xi(params.q, params.w) * np.tanh(loc) ** 2
 
 
 def _check_domain(m: float) -> float:
@@ -90,8 +91,8 @@ def _check_domain(m: float) -> float:
 def electronic_density_continuum(params: ModelParams, z: CoherentAmplitude) -> float:
     """Large-L electronic density -p_q(z) E(m_q); even in z."""
     loc = state_location(params, z)
-    m = _check_domain(elliptic_parameter(params, loc))
-    return -electronic_prefactor(params, loc) * elliptic_e(m)
+    m = _check_domain(float(elliptic_parameter(params, loc)))
+    return -float(electronic_prefactor(params, loc)) * elliptic_e(m)
 
 
 def d_electronic_d_loc(params: ModelParams, loc: float) -> float:
@@ -113,12 +114,6 @@ def d_electronic_d_loc(params: ModelParams, loc: float) -> float:
         return -pref * math.sinh(loc)
     dm_dloc = -2.0 * xq * th / ch**2
     return -pref * (math.sinh(loc) * elliptic_e(m) + ch * de_dm(m) * dm_dloc)
-
-
-def d2_electronic_d_loc2(params: ModelParams, loc: float, h: float = 1e-6) -> float:
-    """Second loc-derivative by central difference of the analytic first."""
-    step = h * (1.0 + abs(loc))
-    return (d_electronic_d_loc(params, loc + step) - d_electronic_d_loc(params, loc - step)) / (2.0 * step)
 
 
 def total_gradient(
@@ -147,17 +142,16 @@ def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> flo
     if params.big_l < 1:
         raise ValueError("big_l must be >= 1")
     big_l = params.big_l
-    q, w = params.q, params.w
-    xq = xi(q, w)
     g = effective_coupling(params)
     loc = state_location(params, z)
     theta = np.pi * np.arange(big_l) / big_l
     eps = g * math.cosh(loc) * np.cos(theta)
     delta = g * math.sinh(loc) * np.sin(theta)
-    # entries of the deformed 2x2 matrix, vectorized over k
-    a = -eps * q ** (2 * w) * xq * q
-    d = eps * q ** (2 * w) * xq / q
-    b = -delta * q**w * math.sqrt(xq)
+    # entries of H_k = -2 eps_k J_3 - delta_k (J_+ + J_-), vectorized over k
+    jp, jm, j3 = _deformed_generators(params.q, params.w)
+    a = -2.0 * eps * j3[0, 0]
+    d = -2.0 * eps * j3[1, 1]
+    b = -delta * (jp + jm)[0, 1]
     lam_plus = 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
     return float(np.sum(lam_plus)) / big_l
 
@@ -170,35 +164,21 @@ def domain_limit(params: ModelParams) -> float:
     return math.atanh(math.sqrt(2.0 / xq))
 
 
+def _phonon_density(params: ModelParams, z: CoherentAmplitude, phonon_norm: PhononNorm) -> float:
+    scale = 1.0 if phonon_norm == "per-cell" else 0.5
+    return scale * phonon_energy_total(z, params.big_l) / params.big_l
+
+
 def total_density(
     params: ModelParams,
     z: CoherentAmplitude,
     phonon_norm: PhononNorm = "per-cell",
 ) -> EnergyBreakdown:
     """Phonon plus electronic density; phonon normalized per unit cell by default."""
-    scale = 1.0 if phonon_norm == "per-cell" else 0.5
-    phonon = scale * phonon_energy_total(z, params.big_l) / params.big_l
-    return EnergyBreakdown(phonon=phonon, electronic=electronic_density_continuum(params, z))
-
-
-@dataclass(frozen=True)
-class GridCell:
-    re: float
-    im: float
-    e_phonon: float
-    e_electronic: float
-    e_total: float
-    status: Literal["ok", "domain"]
-
-
-def _grid_cell(args: tuple) -> GridCell:
-    params, re, im, phonon_norm = args
-    z = CoherentAmplitude(re, im)
-    try:
-        bd = total_density(params, z, phonon_norm)
-    except DomainError:
-        return GridCell(re, im, math.nan, math.nan, math.nan, "domain")
-    return GridCell(re, im, bd.phonon, bd.electronic, bd.total, "ok")
+    return EnergyBreakdown(
+        phonon=_phonon_density(params, z, phonon_norm),
+        electronic=electronic_density_continuum(params, z),
+    )
 
 
 def landscape_grid(
@@ -207,18 +187,34 @@ def landscape_grid(
     im_range: tuple[float, float],
     resolution: int,
     phonon_norm: PhononNorm = "per-cell",
-    workers: int = 1,
-) -> list[GridCell]:
-    """Row-major grid of energy breakdowns; out-of-domain cells get a sentinel status."""
+) -> dict[str, np.ndarray]:
+    """Energy breakdowns over a resolution x resolution grid, as flat columns.
+
+    Columns ``re``, ``im``, ``e_phonon``, ``e_electronic`` and ``e_total``
+    run over the cells in re-major order (re outer, im inner), matching
+    `total_density` cell by cell.  ``in_domain`` is False where the
+    elliptic parameter leaves [-1, 1]; those cells have NaN energies.
+    """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     res = np.linspace(re_range[0], re_range[1], resolution) if resolution > 1 else [0.5 * sum(re_range)]
     ims = np.linspace(im_range[0], im_range[1], resolution) if resolution > 1 else [0.5 * sum(im_range)]
-    jobs = [(params, float(re), float(im), phonon_norm) for re in res for im in ims]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_grid_cell, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
-    return [_grid_cell(j) for j in jobs]
+    re, im = (axis.ravel() for axis in np.meshgrid(res, ims, indexing="ij"))
+    z = CoherentAmplitude(re, im)  # type: ignore[arg-type]
+    loc = state_location(params, z)
+    m = elliptic_parameter(params, loc)
+    in_domain = np.abs(m) <= 1.0
+    e_phonon = np.where(in_domain, _phonon_density(params, z, phonon_norm), np.nan)
+    e_electronic = np.full(re.shape, np.nan)
+    e_electronic[in_domain] = -electronic_prefactor(params, loc[in_domain]) * ellipe(m[in_domain])
+    return {
+        "re": re,
+        "im": im,
+        "e_phonon": e_phonon,
+        "e_electronic": e_electronic,
+        "e_total": e_phonon + e_electronic,
+        "in_domain": in_domain,
+    }
 
 
 def _fd_hessian(params: ModelParams, z: np.ndarray, phonon_norm: PhononNorm) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Complete elliptic integrals via arithmetic-geometric-mean iteration.
+"""Complete elliptic integrals, evaluated by ``scipy.special``.
 
 Parameter convention: the argument is the *parameter* m = k^2, not the
 modulus k.  Two normalizations are exposed:
@@ -8,13 +8,18 @@ modulus k.  Two normalizations are exposed:
   2F1(1/2, -1/2; 1; m) and 2F1(1/2, 1/2; 1; m), i.e. (2/pi) times the
   bare integrals.
 
-Negative parameters are handled by the standard imaginary-modulus
-transformation (Abramowitz & Stegun 17.4.17-18).
+``scipy.special.ellipe`` / ``ellipk`` cover negative parameters (the
+imaginary-modulus transformation, Abramowitz & Stegun 17.4.17-18) and give
+E(0) = K(0) = pi/2 and E(1) = 1 exactly.  They also take arrays, which is
+how the landscape grid calls ``ellipe``; the scalar functions here add
+range and finiteness checks and return Python floats.
 """
 
 from __future__ import annotations
 
 import math
+
+from scipy.special import ellipe, ellipk
 
 __all__ = [
     "elliptic_e",
@@ -24,9 +29,6 @@ __all__ = [
     "de_dm",
 ]
 
-_AGM_TOL = 1e-16
-_AGM_MAX_ITER = 64
-
 
 def _check_finite(m: float) -> float:
     m = float(m)
@@ -35,34 +37,12 @@ def _check_finite(m: float) -> float:
     return m
 
 
-def _agm_ek(m: float) -> tuple[float, float]:
-    """K(m) and E(m) for 0 <= m < 1 by AGM with the c_n correction sum."""
-    a, b = 1.0, math.sqrt(1.0 - m)
-    c_sq_sum = 0.5 * m  # 2^{n-1} c_n^2 accumulated, n = 0 term
-    pow2 = 0.5
-    for _ in range(_AGM_MAX_ITER):
-        c = 0.5 * (a - b)
-        if abs(c) < _AGM_TOL * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        pow2 *= 2.0
-        c_sq_sum += pow2 * c * c
-    k = math.pi / (2.0 * a)
-    e = k * (1.0 - c_sq_sum)
-    return k, e
-
-
 def elliptic_k(m: float) -> float:
     """Complete elliptic integral of the first kind, parameter m < 1."""
     m = _check_finite(m)
     if m >= 1.0:
         raise ValueError(f"elliptic_k requires m < 1, got {m}")
-    if m == 0.0:
-        return math.pi / 2.0
-    if m < 0.0:
-        mu = -m
-        return elliptic_k(mu / (1.0 + mu)) / math.sqrt(1.0 + mu)
-    return _agm_ek(m)[0]
+    return float(ellipk(m))
 
 
 def elliptic_e(m: float) -> float:
@@ -70,14 +50,7 @@ def elliptic_e(m: float) -> float:
     m = _check_finite(m)
     if m > 1.0:
         raise ValueError(f"elliptic_e requires m <= 1, got {m}")
-    if m == 1.0:
-        return 1.0
-    if m == 0.0:
-        return math.pi / 2.0
-    if m < 0.0:
-        mu = -m
-        return math.sqrt(1.0 + mu) * elliptic_e(mu / (1.0 + mu))
-    return _agm_ek(m)[1]
+    return float(ellipe(m))
 
 
 def hyp_e(m: float) -> float:

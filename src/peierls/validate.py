@@ -5,8 +5,8 @@ quadrature, dense eigensolver, closed forms) and compares it to a fixed
 threshold.  The suite also measures and reports, without asserting:
 the real-space/mode proportionality constant, a bookkeeping convention;
 the mode-sum convergence order at q = 1.5, where the finite-L error is
-C / L, so the order reads 1; and the printed-vs-matrix eigenvalue
-discrepancy at nonzero w.
+C / L, so the order reads 1 (the value of C itself is gated); and the
+printed-vs-matrix eigenvalue discrepancy at nonzero w.
 """
 
 from __future__ import annotations
@@ -92,10 +92,10 @@ def _quad_k(m: float) -> float:
 def _check_special(report: ValidationReport) -> None:
     ms_e = np.arange(-1.0, 0.991, 0.25).tolist() + [0.99]
     err_e = max(abs(elliptic_e(m) - _quad_e(m)) for m in ms_e)
-    report.add("elliptic-e-quadrature", err_e, 1e-10, "max |E_agm - E_quad| on m in [-1, 0.99]")
+    report.add("elliptic-e-quadrature", err_e, 1e-10, "max |E - E_quad| on m in [-1, 0.99]")
     ms_k = np.arange(-1.0, 0.951, 0.25).tolist() + [0.95]
     err_k = max(abs(elliptic_k(m) - _quad_k(m)) for m in ms_k)
-    report.add("elliptic-k-quadrature", err_k, 1e-10, "max |K_agm - K_quad| on m in [-1, 0.95]")
+    report.add("elliptic-k-quadrature", err_k, 1e-10, "max |K - K_quad| on m in [-1, 0.95]")
     # Legendre relation E(m)K(1-m) + E(1-m)K(m) - K(m)K(1-m) = pi/2
     worst = 0.0
     for m in np.linspace(0.04, 0.96, 20):
@@ -167,15 +167,24 @@ def _check_modesum(report: ValidationReport) -> None:
     # the order is measured at q = 1.5, where the error is C / L; at q = 1
     # it is exponentially small and already at roundoff by L = 64
     ls = [64, 128, 256, 512]
-    errs = []
+    shortfalls = []
     for big_l in ls:
         params, z = _reference_state(big_l=big_l, q=1.5)
-        ms = electronic_density_modesum(params, z)
-        ct = electronic_density_continuum(params, z)
-        errs.append(abs(ms - ct))
+        shortfalls.append(electronic_density_continuum(params, z) - electronic_density_modesum(params, z))
+    errs = [abs(s) for s in shortfalls]
     order = -float(np.polyfit(np.log(ls), np.log(errs), 1)[0])
     report.info["modesum-errors"] = dict(zip(map(str, ls), errs))
     report.info["modesum-fitted-slope"] = order
+    # the deformed trace term makes the sum fall short of the continuum by
+    # exactly C / L, C = g cosh(loc) (q - 1/q) q^(2w) xi_q / 2 (g = 1 here)
+    loc = state_location(params, z)
+    c = 0.5 * math.cosh(loc) * (params.q - 1.0 / params.q) * params.q ** (2 * params.w) * xi(params.q, params.w)
+    report.add(
+        "modesum-trace-shift",
+        abs(ls[-1] * shortfalls[-1] / c - 1.0),
+        1e-9,
+        "|L * (continuum - modesum) / C - 1| at q = 1.5, w = 0, L = 512",
+    )
     params, z = _reference_state(big_l=4096)
     ms = electronic_density_modesum(params, z)
     ct = electronic_density_continuum(params, z)

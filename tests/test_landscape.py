@@ -123,31 +123,44 @@ def test_modesum_even_in_location():
 
 def test_grid_single_cell_is_range_center():
     _, p = double_well_params()
-    cells = landscape_grid(p, (-0.2, 0.4), (-0.1, 0.3), 1)
-    assert len(cells) == 1
-    cell = cells[0]
-    assert cell.re == pytest.approx(0.1, abs=1e-15)
-    assert cell.im == pytest.approx(0.1, abs=1e-15)
-    bd = total_density(p, CoherentAmplitude(cell.re, cell.im))
-    assert cell.e_total == pytest.approx(bd.total, rel=1e-15)
-    assert cell.status == "ok"
+    grid = landscape_grid(p, (-0.2, 0.4), (-0.1, 0.3), 1)
+    assert len(grid["re"]) == 1
+    re, im = float(grid["re"][0]), float(grid["im"][0])
+    assert re == pytest.approx(0.1, abs=1e-15)
+    assert im == pytest.approx(0.1, abs=1e-15)
+    bd = total_density(p, CoherentAmplitude(re, im))
+    assert grid["e_total"][0] == pytest.approx(bd.total, rel=1e-15)
+    assert grid["in_domain"][0]
 
 
-def test_grid_worker_invariance():
-    _, p = double_well_params()
-    serial = landscape_grid(p, (-0.2, 0.2), (-0.2, 0.2), 9, workers=1)
-    parallel = landscape_grid(p, (-0.2, 0.2), (-0.2, 0.2), 9, workers=3)
-    assert serial == parallel
+def test_grid_matches_total_density_cell_by_cell():
+    p = g_one_params(q=1.5, w=-3.0)  # xi > 2, finite domain
+    grid = landscape_grid(p, (-0.4, 0.4), (-0.3, 0.3), 9)
+    axis_re, axis_im = np.linspace(-0.4, 0.4, 9), np.linspace(-0.3, 0.3, 9)
+    assert grid["re"].tolist() == np.repeat(axis_re, 9).tolist()  # re-major
+    assert grid["im"].tolist() == np.tile(axis_im, 9).tolist()
+    domain = 0
+    for i, (re, im) in enumerate(zip(grid["re"].tolist(), grid["im"].tolist())):
+        try:
+            bd = total_density(p, CoherentAmplitude(re, im))
+        except DomainError:
+            domain += 1
+            assert not grid["in_domain"][i]
+            assert all(math.isnan(grid[c][i]) for c in ("e_phonon", "e_electronic", "e_total"))
+            continue
+        assert grid["in_domain"][i]
+        assert grid["e_phonon"][i] == pytest.approx(bd.phonon, rel=1e-14)
+        assert grid["e_electronic"][i] == pytest.approx(bd.electronic, rel=1e-14)
+        assert grid["e_total"][i] == grid["e_phonon"][i] + grid["e_electronic"][i]
+    assert 0 < domain < 81
 
 
 def test_grid_domain_sentinel():
     p = g_one_params(q=1.5, w=-3.0)  # xi > 2, finite domain
-    cells = landscape_grid(p, (-2.0, 2.0), (-2.0, 2.0), 5)
-    statuses = {c.status for c in cells}
-    assert "domain" in statuses and "ok" in statuses
-    for c in cells:
-        if c.status == "domain":
-            assert math.isnan(c.e_total)
+    grid = landscape_grid(p, (-2.0, 2.0), (-2.0, 2.0), 5)
+    in_domain = grid["in_domain"]
+    assert in_domain.any() and not in_domain.all()
+    assert np.isnan(grid["e_total"][~in_domain]).all()
 
 
 def test_critical_points_decoupled_limit():
