@@ -51,11 +51,12 @@ EXIT_NUMERICAL = 3
 
 
 def _fmt(value: Any) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
+    """Shortest round-trip decimal for floats (numpy scalars included, whose
+    repr would name their type); plain str otherwise."""
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -246,6 +247,8 @@ def cmd_kink_propagate(config: RunConfig, args: argparse.Namespace) -> int:
             "termination": traj.termination,
             "max_advance": float(np.max(np.abs(positions - positions[0]))),
             "relative_energy_drift": float(np.max(np.abs(energies - energies[0])) / abs(energies[0])),
+            "orthonormality_error": traj.orthonormality_error,
+            "anchor_hops": int(np.count_nonzero(np.diff(traj.anchors))),
         },
     )
     return EXIT_OK

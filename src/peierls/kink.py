@@ -3,20 +3,23 @@
 A kink at site n flips the staggering phase: z_j = (-)^j z up to site n
 and (-)^(j+1) z beyond.  Bond amplitudes follow from coherent-state
 averaging of the exponential hopping, which makes the wall bond exactly g
-and keeps the whole chain real.  The transcription of the averaged kink
-Hamiltonian that appears with the omega_l = g - (c + (-)^l s) weights is
-retained as a flag-selectable cross-check variant; it does not agree with
-the mechanical averaging and is never the default.
+and keeps the whole chain real.  The single-particle matrix is symmetric
+and tridiagonal with a zero diagonal, so eigensolves work on its
+off-diagonal vector and observables on nearest-neighbour links.  The
+transcription of the averaged kink Hamiltonian that appears with the
+omega_l = g - (c + (-)^l s) weights is retained as a flag-selectable
+cross-check variant; it does not agree with the mechanical averaging and
+is never the default.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .landscape import phonon_energy_total
 from .model import (
@@ -62,12 +65,9 @@ class KinkConfiguration:
 
     def amplitudes(self) -> np.ndarray:
         """Per-site complex amplitudes under the kink staggering."""
-        z = complex(self.z.re, self.z.im)
-        amps = np.empty(self.n_sites, dtype=complex)
-        for j in range(self.n_sites):
-            sign = (-1) ** j if j <= self.n else (-1) ** (j + 1)
-            amps[j] = sign * z
-        return amps
+        j = np.arange(self.n_sites)
+        # (-)^j up to the wall site n, (-)^(j+1) beyond it
+        return (-1.0) ** (j + (j > self.n)) * complex(self.z.re, self.z.im)
 
 
 @dataclass(frozen=True)
@@ -77,50 +77,41 @@ class KinkObservables:
     energy: float
 
 
-def _averaged_bond(params: ModelParams, dz: complex) -> float:
-    """Coherent-state average of the exponential hopping for amplitude
-    difference dz = z_{j+1} - z_j: g * exp(sqrt(2) Re[(zeta - i kappa) dz])."""
+def _omega(params: ModelParams, loc: float, ell: int | np.ndarray) -> float | np.ndarray:
     g = effective_coupling(params)
-    w = complex(params.zeta, -params.kappa) * dz
-    return g * math.exp(math.sqrt(2.0) * w.real)
+    c, s = g * math.cosh(loc), g * math.sinh(loc)
+    return g - (c + (-1.0) ** ell * s)
+
+
+def _offdiagonal(params: ModelParams, config: KinkConfiguration, variant: KinkVariant = "averaged") -> np.ndarray:
+    """Off-diagonal h[j, j+1] = h[j+1, j] of the kink matrix (its diagonal is zero).
+
+    "averaged": -A_j, with A_j = g exp(sqrt(2) Re[(zeta - i kappa)(z_{j+1} - z_j)])
+    the coherent-state average of the exponential hopping.
+    "printed": the omega-weighted transcription, kept for comparison only.
+    """
+    if variant == "averaged":
+        dz = np.diff(config.amplitudes())
+        exponent = math.sqrt(2.0) * (params.zeta * dz.real + params.kappa * dz.imag)
+        return -effective_coupling(params) * np.exp(exponent)
+    loc = state_location(params, config.z)
+    j = np.arange(config.n_sites - 1)
+    off = _omega(params, loc, j)
+    off[config.n] += _omega(params, loc, config.n)
+    s = effective_coupling(params) * math.sinh(loc)
+    off[config.n + 1 :] -= 2.0 * s * (-1.0) ** j[config.n + 1 :]
+    return off
 
 
 def kink_bonds(params: ModelParams, config: KinkConfiguration) -> HoppingChain:
-    """Open chain of N-1 bonds from direct averaging; the wall bond is g."""
-    amps = config.amplitudes()
-    bonds = tuple(_averaged_bond(params, amps[j + 1] - amps[j]) for j in range(config.n_sites - 1))
-    return HoppingChain(bonds=bonds, boundary="open")
-
-
-def _omega(params: ModelParams, loc: float, ell: int) -> float:
-    g = effective_coupling(params)
-    c, s = g * math.cosh(loc), g * math.sinh(loc)
-    return g - (c + (-1) ** ell * s)
+    """Open chain of N-1 bonds A_j from direct averaging; the wall bond is g."""
+    return HoppingChain(bonds=tuple((-_offdiagonal(params, config)).tolist()), boundary="open")
 
 
 def kink_matrix(params: ModelParams, config: KinkConfiguration, variant: KinkVariant = "averaged") -> np.ndarray:
-    """Single-particle matrix of the kink Hamiltonian.
-
-    "averaged": -A_j off-diagonals with A_j from `kink_bonds`.
-    "printed": the omega-weighted transcription, kept for comparison only.
-    """
-    n_sites = config.n_sites
-    h = np.zeros((n_sites, n_sites))
-    if variant == "averaged":
-        for j, a in enumerate(kink_bonds(params, config).bonds):
-            h[j, j + 1] = h[j + 1, j] = -a
-        return h
-    loc = state_location(params, config.z)
-    g = effective_coupling(params)
-    s = g * math.sinh(loc)
-    for j in range(n_sites - 1):
-        coeff = _omega(params, loc, j)
-        if j == config.n:
-            coeff += _omega(params, loc, config.n)
-        if j >= config.n + 1:
-            coeff += -2.0 * s * (-1) ** j
-        h[j, j + 1] = h[j + 1, j] = coeff
-    return h
+    """Dense single-particle matrix of the kink Hamiltonian (see `_offdiagonal`)."""
+    off = _offdiagonal(params, config, variant)
+    return np.diag(off, 1) + np.diag(off, -1)
 
 
 def kink_spectrum(
@@ -131,7 +122,7 @@ def kink_spectrum(
     The gap diagnostic marks eigenvalues inside the bulk dimerization gap
     (-2g|sinh loc|, 2g|sinh loc|) of the corresponding uniform chain.
     """
-    evals = np.linalg.eigvalsh(kink_matrix(params, config, variant))
+    evals = eigvalsh_tridiagonal(np.zeros(config.n_sites), _offdiagonal(params, config, variant))
     loc = state_location(params, config.z)
     gap_edge = 2.0 * effective_coupling(params) * abs(math.sinh(loc))
     in_gap = np.abs(evals) < gap_edge - 1e-12
@@ -141,7 +132,7 @@ def kink_spectrum(
 def kink_energy(params: ModelParams, z: CoherentAmplitude, n: int, n_sites: int) -> float:
     """Lowest eigenvalue of the kink Hamiltonian as a function of (z, n)."""
     config = KinkConfiguration(n=n, z=z, n_sites=n_sites)
-    return float(np.linalg.eigvalsh(kink_matrix(params, config))[0])
+    return float(eigvalsh_tridiagonal(np.zeros(n_sites), _offdiagonal(params, config))[0])
 
 
 def difference_operator(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
@@ -185,12 +176,12 @@ def zero_subspace(
 def bond_order(occupied: np.ndarray) -> np.ndarray:
     """Staggered bond order B_j = (-)^j Re <f+_{j+1} f_j> from occupied orbitals.
 
-    `occupied` is an (n_sites, n_filled) matrix of orthonormal columns.
+    `occupied` is an (n_sites, n_filled) matrix of orthonormal columns.  The
+    link sum Re sum_m conj(phi_{j,m}) phi_{j+1,m} is the superdiagonal of the
+    coherence matrix, read without forming it.
     """
-    coherence = np.einsum("jm,km->jk", occupied.conj(), occupied)
-    n_sites = occupied.shape[0]
-    j = np.arange(n_sites - 1)
-    return (-1.0) ** j * np.real(np.diag(coherence, k=1))
+    link = np.einsum("jm,jm->j", occupied[:-1].conj(), occupied[1:]).real
+    return (-1.0) ** np.arange(len(link)) * link
 
 
 def kink_position(order: np.ndarray, window: int = 4) -> float:
@@ -212,8 +203,8 @@ def kink_position(order: np.ndarray, window: int = 4) -> float:
     kernel = np.full(window, 1.0 / window)
     envelope = np.convolve(order, kernel, mode="valid")
     offset = 0.5 * (window - 1)
-    crossings = [j for j in range(len(envelope) - 1) if envelope[j] * envelope[j + 1] < 0.0]
-    if not crossings:
+    crossings = np.flatnonzero(envelope[:-1] * envelope[1:] < 0.0)
+    if not crossings.size:
         zero = np.argmin(np.abs(envelope))
         return float(zero) + offset
     def contrast(j: int) -> float:
@@ -222,7 +213,7 @@ def kink_position(order: np.ndarray, window: int = 4) -> float:
         return abs(float(np.mean(right)) - float(np.mean(left)))
     best = max(crossings, key=contrast)
     frac = envelope[best] / (envelope[best] - envelope[best + 1])
-    return best + frac + offset
+    return float(best + frac + offset)
 
 
 @dataclass
@@ -234,11 +225,6 @@ class KinkTrajectory:
     anchors: list[int]
     termination: str = "completed"
     orthonormality_error: float = 0.0
-
-
-def _phonon_total(z: CoherentAmplitude, n_sites: int) -> float:
-    # per-site coherent-state phonon energy times the site count
-    return n_sites * (4.0 * z.re**2 + z.im**2 + 0.75)
 
 
 def propagate_kink(
@@ -258,8 +244,10 @@ def propagate_kink(
     eigenvalue (finite-difference gradient, energy-conserving convention),
     or no z motion with z_functional="frozen"; (b) exact single-particle
     evolution of the occupied orbitals under the current kink Hamiltonian
-    via its eigendecomposition; (c) observables; (d) re-anchoring of n
-    when the bond-order wall crosses n +- (1 + hysteresis).
+    by its step propagator, built from the tridiagonal eigendecomposition
+    and cached under (n, z); (c) observables from the nearest-neighbour
+    links; (d) re-anchoring of n when the bond-order wall crosses
+    n +- (1 + hysteresis).
 
     The initial orbitals are the half-filled ground state of the kink
     Hamiltonian anchored at n0 + initial_anchor_offset, which lets a
@@ -267,36 +255,42 @@ def propagate_kink(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if z_functional not in ("lowest", "frozen"):
+        raise ValueError(f"z_functional must be 'lowest' or 'frozen', got {z_functional!r}")
     n = n0
     z = z0
     n_filled = n_sites // 2
+    zeros = np.zeros(n_sites)
 
     init_cfg = KinkConfiguration(n=n0 + initial_anchor_offset, z=z, n_sites=n_sites)
-    _, vecs = np.linalg.eigh(kink_matrix(params, init_cfg))
+    _, vecs = eigh_tridiagonal(zeros, _offdiagonal(params, init_cfg))
     occupied = vecs[:, :n_filled].astype(complex)
 
-    # cache of the anchored Hamiltonian eigendecomposition, keyed by (n, z)
+    # step propagator U exp(-i eps dt) U^T of the anchored Hamiltonian and
+    # its staggered off-diagonal 2 (-)^j h[j, j+1], cached under (n, z)
     cache_key: tuple[int, float, float] | None = None
-    evals = evecs = None
+    propagator = energy_weights = None
 
-    def decompose(n_anchor: int, zc: CoherentAmplitude):
-        nonlocal cache_key, evals, evecs
+    def anchored(n_anchor: int, zc: CoherentAmplitude):
+        nonlocal cache_key, propagator, energy_weights
         key = (n_anchor, zc.re, zc.im)
         if key != cache_key:
-            cfg = KinkConfiguration(n=n_anchor, z=zc, n_sites=n_sites)
-            evals_, evecs_ = np.linalg.eigh(kink_matrix(params, cfg))
-            cache_key, evals, evecs = key, evals_, evecs_
-        return evals, evecs
+            off = _offdiagonal(params, KinkConfiguration(n=n_anchor, z=zc, n_sites=n_sites))
+            ev, uv = eigh_tridiagonal(zeros, off)
+            propagator = (uv * np.exp(-1j * ev * dt)) @ uv.T
+            energy_weights = 2.0 * (-1.0) ** np.arange(n_sites - 1) * off
+            cache_key = key
+        return propagator, energy_weights
 
     def observables(zc: CoherentAmplitude) -> KinkObservables:
-        ev, uv = decompose(n, zc)
-        h = uv @ (ev[:, None] * uv.T)
-        electronic = float(np.real(np.einsum("jm,jk,km->", occupied.conj(), h, occupied)))
         order = bond_order(occupied)
+        # E_el = 2 sum_j h[j, j+1] Re<f+_{j+1} f_j>, and that link is (-)^j B_j
+        _, weights = anchored(n, zc)
+        electronic = float(weights @ order)
         return KinkObservables(
             bond_order=order,
             kink_position=kink_position(order),
-            energy=electronic + _phonon_total(zc, n_sites),
+            energy=electronic + phonon_energy_total(zc, n_sites / 2),  # n_sites / 2 cells
         )
 
     traj = KinkTrajectory(times=[], z_values=[], positions=[], energies=[], anchors=[])
@@ -324,9 +318,8 @@ def propagate_kink(
             if not (math.isfinite(z.re) and math.isfinite(z.im)):
                 traj.termination = "non-finite"
                 break
-        ev, uv = decompose(n, z)
-        phase = np.exp(-1j * ev * dt)
-        occupied = uv @ (phase[:, None] * (uv.T @ occupied))
+        step, _ = anchored(n, z)
+        occupied = step @ occupied
         t += dt
         obs = observables(z)
         if obs.kink_position >= n + 1 + hysteresis and n < n_sites - 2:

@@ -152,8 +152,36 @@ def test_cli_kink_propagate_small(tmp_path):
     meta = json.loads((tmp_path / "kink_trajectory.json").read_text())
     assert meta["termination"] == "completed"
     assert meta["relative_energy_drift"] < 1e-6
+    assert meta["orthonormality_error"] < 1e-10
+    assert meta["anchor_hops"] >= 0
     header = (tmp_path / "kink_trajectory.csv").read_text().splitlines()[0]
     assert header == "t,re_z,im_z,kink_position,energy,n_anchor"
+
+
+def test_cli_csv_cells_are_numbers(tmp_path):
+    # every data cell parses with float(), except a schema's status column
+    runs = [
+        (["kink-propagate", "--set", "n_sites=60", "--set", "kink_site=30", "--set", "kink_steps=5"],
+         "kink_trajectory.csv", {}),
+        (["kink-spectrum", "--set", "n_sites=40", "--set", "kink_site=20"], "kink_spectrum.csv", {}),
+        (["dynamics", "--set", "steps=20"], "trajectory.csv", {}),
+        # w = -3 puts xi above 2, so part of this grid is out of the domain
+        (["landscape", "--set", "resolution=9", "--set", "w=-3", "--set", "re_max=1.5"], "landscape.csv",
+         {"status": {"ok", "domain"}}),
+    ]
+    for i, (argv, name, words) in enumerate(runs):
+        out = tmp_path / str(i)
+        assert main([argv[0], "--reference", "kink_dynamics", "-o", str(out), *argv[1:]]) == 0
+        header, *rows = (out / name).read_text().splitlines()
+        columns = header.split(",")
+        assert rows
+        for row in rows:
+            for column, cell in zip(columns, row.split(","), strict=True):
+                if column in words:
+                    assert cell in words[column], (name, column, cell)
+                else:
+                    float(cell)
+    assert "domain" in (tmp_path / "3" / "landscape.csv").read_text()
 
 
 def test_cli_validate_passes_and_fault_injection(tmp_path, monkeypatch, capsys):

@@ -166,6 +166,28 @@ def test_bond_order_single_wall():
     assert abs(pos - 60) < 0.5
 
 
+def test_bond_order_matches_dense_coherence():
+    # the link sum is the superdiagonal of C = conj(Phi) Phi^T
+    rng = np.random.default_rng(7)
+    occ, _ = np.linalg.qr(rng.normal(size=(40, 20)) + 1j * rng.normal(size=(40, 20)))
+    coherence = occ.conj() @ occ.T
+    expected = (-1.0) ** np.arange(39) * np.real(np.diag(coherence, k=1))
+    assert np.max(np.abs(bond_order(occ) - expected)) < 1e-14
+
+
+def test_printed_variant_spectrum_matches_dense():
+    p = reference_params()
+    cfg = KinkConfiguration(n=20, z=z_min(), n_sites=50)
+    h = kink_matrix(p, cfg, "printed")
+    assert np.array_equal(h, h.T)
+    assert np.all(np.diag(h) == 0.0)
+    assert np.all(np.triu(h, 2) == 0.0)
+    evals, lowest, _ = kink_spectrum(p, cfg, variant="printed")
+    dense = np.linalg.eigvalsh(h)
+    assert np.max(np.abs(evals - dense)) < 1e-12
+    assert lowest == evals[0]
+
+
 def test_kink_position_tracks_anchor():
     p = reference_params()
     n_sites = 200
@@ -198,6 +220,24 @@ def test_propagation_mirror_symmetry():
     bonds = n_sites - 1
     for pa, pb in zip(a.positions, b.positions):
         assert pa == pytest.approx((bonds - 1) - pb, abs=1e-6)
+
+
+def test_initial_energy_is_filled_sea_plus_phonon():
+    p = reference_params()
+    z = z_min()
+    n_sites = 60
+    traj = propagate_kink(p, z, 30, dt=0.5, steps=3, n_sites=n_sites,
+                          initial_anchor_offset=0, z_functional="frozen")
+    evals, _, _ = kink_spectrum(p, KinkConfiguration(n=30, z=z, n_sites=n_sites))
+    phonon = n_sites * (4.0 * z.re**2 + z.im**2 + 0.75)
+    expected = float(np.sum(evals[: n_sites // 2])) + phonon
+    assert traj.energies[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_unknown_z_functional_rejected():
+    with pytest.raises(ValueError, match="z_functional"):
+        propagate_kink(reference_params(), z_min(), 30, dt=0.5, steps=1, n_sites=60,
+                       z_functional="lowest-eigenvalue")
 
 
 def test_propagation_unitarity():
