@@ -1,6 +1,11 @@
 """Deformed su(2) generators in the spin-1/2 representation and the
 per-mode 2x2 Hamiltonians.
 
+This module is the one implementation of the per-mode physics.  Every
+mode function takes a mode index k or an array of indices: the 2x2
+matrices then stack as shape (..., 2, 2) and the eigenvalues come back
+elementwise, so callers evaluate all modes at once.
+
 Ground truth is the explicit 2x2 matrix built from the deformed
 generators; the closed-form eigenvalue expression is kept separately
 (`paper_lambda`) as a cross-check.  The two differ by a q^(2w) factor on
@@ -52,23 +57,26 @@ def xi(q: float, w: float) -> float:
 
 @dataclass(frozen=True)
 class ModeEnergies:
-    """Mode-k energies eps = g cosh(loc) cos(pi k/L), delta = g sinh(loc) sin(pi k/L)."""
+    """Mode-k energies eps = g cosh(loc) cos(pi k/L), delta = g sinh(loc) sin(pi k/L).
 
-    k: int
-    epsilon: float
-    delta: float
+    Each field is a scalar or an array shaped like the index k.
+    """
+
+    k: int | np.ndarray
+    epsilon: float | np.ndarray
+    delta: float | np.ndarray
 
 
-def mode_energies(params: ModelParams, z: CoherentAmplitude, k: int) -> ModeEnergies:
-    if not 0 <= k < params.big_l:
+def mode_energies(params: ModelParams, z: CoherentAmplitude, k: int | np.ndarray) -> ModeEnergies:
+    if np.any((np.asarray(k) < 0) | (np.asarray(k) >= params.big_l)):
         raise ValueError(f"mode index {k} outside [0, {params.big_l - 1}]")
     g = effective_coupling(params)
     loc = state_location(params, z)
-    theta = math.pi * k / params.big_l
+    theta = np.pi * k / params.big_l
     return ModeEnergies(
         k=k,
-        epsilon=g * math.cosh(loc) * math.cos(theta),
-        delta=g * math.sinh(loc) * math.sin(theta),
+        epsilon=g * math.cosh(loc) * np.cos(theta),
+        delta=g * math.sinh(loc) * np.sin(theta),
     )
 
 
@@ -83,35 +91,39 @@ def _deformed_generators(q: float, w: float) -> tuple[np.ndarray, np.ndarray, np
 
 
 def deformed_mode_matrix(params: ModelParams, mode: ModeEnergies) -> np.ndarray:
-    """H_k as a real symmetric 2x2 matrix: -2 eps J_3 - delta (J_+ + J_-)."""
+    """H_k = -2 eps J_3 - delta (J_+ + J_-), real symmetric, shape (..., 2, 2)."""
     jp, jm, j3 = _deformed_generators(params.q, params.w)
-    return -2.0 * mode.epsilon * j3 - mode.delta * (jp + jm)
+    eps = np.asarray(mode.epsilon)[..., None, None]
+    delta = np.asarray(mode.delta)[..., None, None]
+    return -2.0 * eps * j3 - delta * (jp + jm)
 
 
-def mode_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
-    """(lambda_plus, lambda_minus) with lambda_plus <= lambda_minus.
+def mode_eigenvalues(matrix: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(lambda_plus, lambda_minus) with lambda_plus <= lambda_minus, over the
+    leading axes of a (..., 2, 2) stack.
 
     lambda_plus is the filled lower branch.  Computed from the 2x2 matrix,
     not from the printed closed form.
     """
-    a, d = matrix[0, 0], matrix[1, 1]
-    b = matrix[0, 1]
+    a, d = matrix[..., 0, 0], matrix[..., 1, 1]
+    b = matrix[..., 0, 1]
     half_tr = 0.5 * (a + d)
-    root = math.hypot(0.5 * (a - d), b)
+    root = np.hypot(0.5 * (a - d), b)
     return half_tr - root, half_tr + root
 
 
-def paper_lambda(params: ModelParams, mode: ModeEnergies) -> tuple[float, float]:
+def paper_lambda(params: ModelParams, mode: ModeEnergies) -> tuple[float | np.ndarray, float | np.ndarray]:
     """The closed-form eigenvalues, transcribed verbatim for cross-checking."""
     q, w = params.q, params.w
     xq = xi(q, w)
     shift = -0.5 * mode.epsilon * (q - 1.0 / q) * q ** (2 * w) * xq
-    root = math.sqrt(q ** (2 * w) * mode.epsilon**2 + xq * mode.delta**2)
+    root = np.sqrt(q ** (2 * w) * mode.epsilon**2 + xq * mode.delta**2)
     return shift - root, shift + root
 
 
-def lambda_discrepancy(params: ModelParams, mode: ModeEnergies) -> float:
-    """Max abs difference between matrix and closed-form eigenvalues."""
+def lambda_discrepancy(params: ModelParams, mode: ModeEnergies) -> float | np.ndarray:
+    """Abs difference between matrix and closed-form eigenvalues, the larger
+    of the two branches, per mode."""
     lm = mode_eigenvalues(deformed_mode_matrix(params, mode))
     lp = paper_lambda(params, mode)
-    return max(abs(lm[0] - lp[0]), abs(lm[1] - lp[1]))
+    return np.maximum(np.abs(lm[0] - lp[0]), np.abs(lm[1] - lp[1]))

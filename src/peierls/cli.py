@@ -7,8 +7,8 @@ so any artifact can be re-run from its metadata alone.  Identical configs
 produce byte-identical CSV.  ``--workers`` is accepted (and must be >= 1)
 but has no effect: landscape grids are evaluated as arrays in one process.
 
-Exit codes: 0 ok, 1 validation failure, 2 config/domain error,
-3 numerical failure.
+Exit codes: 0 ok, 1 validation failure, 2 config/domain error or any
+other out-of-range input (a ValueError), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ def _fmt(value: Any) -> str:
     """Shortest round-trip decimal for floats (numpy scalars included, whose
     repr would name their type); plain str otherwise."""
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return repr(float(value))
     return str(value)
 
@@ -132,12 +130,9 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
     params = config.model_params()
     z = CoherentAmplitude(config.z_re, config.z_im)
     dense = spectrum(single_particle_matrix(staggered_bonds(params, z)))
-    mode_vals: list[float] = []
-    for k in range(params.big_l):
-        m = mode_energies(params, z, k)
-        r = math.hypot(m.epsilon, m.delta)
-        mode_vals.extend((-r, r))
-    modes = np.sort(mode_vals)
+    m = mode_energies(params, z, np.arange(params.big_l))
+    r = np.hypot(m.epsilon, m.delta)
+    modes = np.sort(np.concatenate((-r, r)))
     nonzero = np.abs(modes) > 1e-300
     constant = float(np.median(dense[nonzero] / modes[nonzero])) if nonzero.any() else math.nan
     out = _out_dir(args)
@@ -330,17 +325,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         if config_file is None and args.reference is not None:
             config_file = reference_config_path(args.reference)
         config = load_config(config_file, overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         return _COMMANDS[args.command](config, args)
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:  # ConfigError, DomainError and library range checks
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -161,7 +161,7 @@ def parse_config_file(path: str | Path) -> dict[str, Any]:
 def _env_overrides(environ: dict[str, str]) -> dict[str, Any]:
     values: dict[str, Any] = {}
     for key, raw in environ.items():
-        if not key.startswith(ENV_PREFIX) or key.startswith(ENV_PREFIX + "TEST_"):
+        if not key.startswith(ENV_PREFIX):
             continue
         field = key[len(ENV_PREFIX):].lower()
         if field not in _FIELD_TYPES:

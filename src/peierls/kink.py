@@ -131,8 +131,7 @@ def kink_spectrum(
 
 def kink_energy(params: ModelParams, z: CoherentAmplitude, n: int, n_sites: int) -> float:
     """Lowest eigenvalue of the kink Hamiltonian as a function of (z, n)."""
-    config = KinkConfiguration(n=n, z=z, n_sites=n_sites)
-    return float(eigvalsh_tridiagonal(np.zeros(n_sites), _offdiagonal(params, config))[0])
+    return kink_spectrum(params, KinkConfiguration(n=n, z=z, n_sites=n_sites))[1]
 
 
 def difference_operator(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
@@ -262,10 +261,6 @@ def propagate_kink(
     n_filled = n_sites // 2
     zeros = np.zeros(n_sites)
 
-    init_cfg = KinkConfiguration(n=n0 + initial_anchor_offset, z=z, n_sites=n_sites)
-    _, vecs = eigh_tridiagonal(zeros, _offdiagonal(params, init_cfg))
-    occupied = vecs[:, :n_filled].astype(complex)
-
     # step propagator U exp(-i eps dt) U^T of the anchored Hamiltonian and
     # its staggered off-diagonal 2 (-)^j h[j, j+1], cached under (n, z)
     cache_key: tuple[int, float, float] | None = None
@@ -281,6 +276,11 @@ def propagate_kink(
             energy_weights = 2.0 * (-1.0) ** np.arange(n_sites - 1) * off
             cache_key = key
         return propagator, energy_weights
+
+    anchored(n, z)  # checks n0 as given, before the anchor offset is added
+    init_cfg = KinkConfiguration(n=n0 + initial_anchor_offset, z=z, n_sites=n_sites)
+    _, vecs = eigh_tridiagonal(zeros, _offdiagonal(params, init_cfg))
+    occupied = vecs[:, :n_filled].astype(complex)
 
     def observables(zc: CoherentAmplitude) -> KinkObservables:
         order = bond_order(occupied)

@@ -19,7 +19,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 from scipy.special import ellipe
 
-from .algebra import _deformed_generators, xi
+from .algebra import deformed_mode_matrix, mode_eigenvalues, mode_energies, xi
 from .model import CoherentAmplitude, ModelParams, effective_coupling, state_location
 from .special import de_dm, elliptic_e
 
@@ -130,7 +130,8 @@ def total_gradient(
 
 
 def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> float:
-    """(1/L) sum over modes of the lower eigenvalue of the deformed 2x2.
+    """(1/L) sum over modes of the lower eigenvalue of the deformed 2x2,
+    all L modes evaluated at once through `peierls.algebra`.
 
     The finite-L error against the continuum is exponentially small at
     q = 1, where the lower eigenvalue is a smooth pi-periodic function of
@@ -139,21 +140,8 @@ def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> flo
     -C / L, C = g cosh(loc) (q - 1/q) q^(2w) xi_q / 2, plus exponentially
     small terms.
     """
-    if params.big_l < 1:
-        raise ValueError("big_l must be >= 1")
-    big_l = params.big_l
-    g = effective_coupling(params)
-    loc = state_location(params, z)
-    theta = np.pi * np.arange(big_l) / big_l
-    eps = g * math.cosh(loc) * np.cos(theta)
-    delta = g * math.sinh(loc) * np.sin(theta)
-    # entries of H_k = -2 eps_k J_3 - delta_k (J_+ + J_-), vectorized over k
-    jp, jm, j3 = _deformed_generators(params.q, params.w)
-    a = -2.0 * eps * j3[0, 0]
-    d = -2.0 * eps * j3[1, 1]
-    b = -delta * (jp + jm)[0, 1]
-    lam_plus = 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
-    return float(np.sum(lam_plus)) / big_l
+    modes = mode_energies(params, z, np.arange(params.big_l))
+    return float(np.mean(mode_eigenvalues(deformed_mode_matrix(params, modes))[0]))
 
 
 def domain_limit(params: ModelParams) -> float:

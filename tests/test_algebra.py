@@ -15,6 +15,7 @@ from peierls.algebra import (
     q_bracket,
     xi,
 )
+from peierls.landscape import electronic_density_modesum
 from peierls.model import CoherentAmplitude, ModelParams
 
 
@@ -53,6 +54,22 @@ def test_mode_energies_endpoints():
     assert m0.epsilon == pytest.approx(math.cosh(0.4), rel=1e-14)
     with pytest.raises(ValueError):
         mode_energies(p, z, p.big_l)
+
+
+def test_mode_energies_rejects_index_array_out_of_range():
+    p = params_at(1.5, -1.0)
+    with pytest.raises(ValueError, match="mode index"):
+        mode_energies(p, amplitude(0.4), np.array([0, 3, p.big_l]))
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+@pytest.mark.parametrize("w", [0.0, -1.0])
+def test_modesum_array_path_matches_scalar_loop(q, w):
+    p = params_at(q, w, big_l=64)
+    z = amplitude(0.4)
+    lower = [mode_eigenvalues(deformed_mode_matrix(p, mode_energies(p, z, k)))[0] for k in range(p.big_l)]
+    reference = math.fsum(lower) / p.big_l
+    assert electronic_density_modesum(p, z) == pytest.approx(reference, rel=1e-15, abs=0.0)
 
 
 def test_undeformed_matrix_eigenvalues():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import peierls.algebra
 from peierls.cli import main
 from peierls.config import (
     ConfigError,
@@ -71,6 +72,26 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     rc = main(["landscape", "--reference", "double_well", "-o", str(tmp_path), "--set", "t=-1"])
     assert rc == 2
     assert "t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("kink-spectrum", "kink_site=500", "kink site 500 outside"),
+        ("kink-propagate", "kink_site=500", "kink site 500 outside"),
+        ("kink-spectrum", "n_sites=2", "at least 3 sites"),
+        ("dynamics", "dt=-1", "dt must be positive"),
+        ("kink-propagate", "kink_dt=0", "dt must be positive"),
+        ("dynamics", "x0=nan", "must be finite"),
+    ],
+)
+def test_cli_out_of_range_input_exits_2(tmp_path, capsys, command, setting, message):
+    # library range checks raise ValueError; the CLI maps them to exit 2
+    rc = main([command, "--reference", "kink_dynamics", "-o", str(tmp_path), "--set", setting])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_cli_landscape_deterministic_across_workers(tmp_path):
@@ -189,7 +210,9 @@ def test_cli_validate_passes_and_fault_injection(tmp_path, monkeypatch, capsys):
     report = json.loads((tmp_path / "ok" / "validation.json").read_text())["report"]
     assert report["passed"] is True
     assert report["info"]["real-space-to-mode-constant"] == pytest.approx(2.0, abs=1e-12)
-    monkeypatch.setenv("PEIERLS_TEST_CORRUPT_XI", "0.01")
+    # a printed closed form off by 0.1% must fail exactly one check
+    printed = peierls.algebra.paper_lambda
+    monkeypatch.setattr(peierls.algebra, "paper_lambda", lambda p, mode: tuple(1.001 * v for v in printed(p, mode)))
     assert main(["validate", "--reference", "kink_dynamics", "-o", str(tmp_path / "bad")]) == 1
     bad = json.loads((tmp_path / "bad" / "validation.json").read_text())["report"]
     failed = [c["name"] for c in bad["checks"] if not c["passed"]]
