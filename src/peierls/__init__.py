@@ -63,6 +63,5 @@ from .model import (
     state_location,
 )
 from .special import de_dm, elliptic_e, elliptic_k, hyp_e, hyp_f
-from .validate import ValidationCheck, ValidationReport, run_validation
 
 __version__ = "1.0.0"

@@ -4,8 +4,10 @@ Subcommands: landscape, critical-points, spectrum, dynamics,
 kink-spectrum, kink-propagate, validate.  Every run writes a CSV dataset
 plus a metadata JSON embedding the effective config and a schema version,
 so any artifact can be re-run from its metadata alone.  Identical configs
-produce byte-identical CSV.  ``--workers`` is accepted (and must be >= 1)
-but has no effect: landscape grids are evaluated as arrays in one process.
+produce byte-identical CSV.  Datasets are written column by column: each
+distinct float of a column is formatted once (shortest round-trip repr).
+``--workers`` is accepted (and must be >= 1) but has no effect: landscape
+grids are evaluated as arrays in one process.
 
 Exit codes: 0 ok, 1 validation failure, 2 config/domain error or any
 other out-of-range input (a ValueError), 3 numerical failure.
@@ -23,22 +25,11 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .algebra import mode_energies
-from .config import ConfigError, RunConfig, load_config, reference_config_path
+from .config import ConfigError, RunConfig, _coerce, load_config, reference_config_path
 from .dynamics import PhaseState, integrate
 from .kink import KinkConfiguration, kink_spectrum, propagate_kink
-from .landscape import (
-    DomainError,
-    find_critical_points,
-    landscape_grid,
-    total_density,
-)
-from .model import (
-    CoherentAmplitude,
-    single_particle_matrix,
-    spectrum,
-    staggered_bonds,
-)
-from .validate import run_validation
+from .landscape import _energy_densities, find_critical_points, landscape_grid
+from .model import CoherentAmplitude, single_particle_matrix, spectrum, staggered_bonds
 
 __all__ = ["main"]
 
@@ -50,17 +41,20 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(value: Any) -> str:
-    """Shortest round-trip decimal for floats (numpy scalars included, whose
-    repr would name their type); plain str otherwise."""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Any]) -> None:
+    """Write equal-length columns as CSV rows.  A float64 column gets one
+    shortest round-trip repr per distinct bit pattern (-0.0 and 0.0 stay
+    apart), gathered back by index; any other column is written with str."""
+    texts: list[Iterable[str]] = []
+    for column in columns:
+        arr = np.asarray(column)
+        if arr.dtype == np.float64:
+            bits, inverse = np.unique(arr.view(np.int64), return_inverse=True)
+            distinct = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+            texts.append(distinct[inverse])
+        else:
+            texts.append(map(str, arr.tolist()))
+    lines = [",".join(header), *map(",".join, zip(*texts))]
     path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -87,18 +81,16 @@ def cmd_landscape(config: RunConfig, args: argparse.Namespace) -> int:
         config.resolution,
         phonon_norm=config.phonon_norm,  # type: ignore[arg-type]
     )
-    columns = ["re", "im", "e_phonon", "e_electronic", "e_total"]
+    names = ["re", "im", "e_phonon", "e_electronic", "e_total"]
     in_domain = grid["in_domain"]
-    # Python floats, so that _fmt writes their repr
-    values = [grid[name].tolist() for name in columns]
-    status = np.where(in_domain, "ok", "domain").tolist()
     out = _out_dir(args)
-    _write_csv(out / "landscape.csv", [*columns, "status"], zip(*values, status))
+    status = np.where(in_domain, "ok", "domain")
+    _write_csv(out / "landscape.csv", [*names, "status"], [*(grid[name] for name in names), status])
     _write_metadata(
         out / "landscape.json",
         "landscape",
         config,
-        {"cells": len(status), "domain_cells": int(np.count_nonzero(~in_domain))},
+        {"cells": in_domain.size, "domain_cells": int(np.count_nonzero(~in_domain))},
     )
     return EXIT_OK
 
@@ -115,7 +107,8 @@ def cmd_critical_points(config: RunConfig, args: argparse.Namespace) -> int:
     _write_csv(
         out / "critical_points.csv",
         ["kind", "re", "im", "gradient_norm", "hessian_eig_low", "hessian_eig_high"],
-        [(p.kind, p.location[0], p.location[1], p.gradient_norm, *p.hessian_eigs) for p in points],
+        [[p.kind for p in points], *([p.location[i] for p in points] for i in (0, 1)),
+         [p.gradient_norm for p in points], *([p.hessian_eigs[i] for p in points] for i in (0, 1))],
     )
     _write_metadata(
         out / "critical_points.json",
@@ -139,7 +132,7 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
     _write_csv(
         out / "spectrum.csv",
         ["index", "real_space", "mode_value"],
-        [(i, float(dense[i]), float(modes[i])) for i in range(len(dense))],
+        [np.arange(len(dense)), dense, modes],
     )
     _write_metadata(
         out / "spectrum.json",
@@ -163,18 +156,13 @@ def cmd_dynamics(config: RunConfig, args: argparse.Namespace) -> int:
         print("error: trajectory became non-finite", file=sys.stderr)
         return EXIT_NUMERICAL
     out = _out_dir(args)
-    params = config.model_params()
-
-    def e_total(x: float) -> float:
-        try:
-            return total_density(params, CoherentAmplitude(0.5 * x, 0.5 * x), config.phonon_norm).total  # type: ignore[arg-type]
-        except DomainError:
-            return math.nan
-
+    x = np.array([s.x for s in traj.states])
+    half = CoherentAmplitude(0.5 * x, 0.5 * x)  # type: ignore[arg-type]
+    e_total = _energy_densities(config.model_params(), half, config.phonon_norm)["e_total"]  # type: ignore[arg-type]
     _write_csv(
         out / "trajectory.csv",
         ["t", "x", "v", "e_total"],
-        [(s.t, s.x, s.v, e_total(s.x)) for s in traj.states],
+        [[s.t for s in traj.states], x, [s.v for s in traj.states], e_total],
     )
     _write_metadata(
         out / "trajectory.json",
@@ -197,7 +185,7 @@ def cmd_kink_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
     _write_csv(
         out / "kink_spectrum.csv",
         ["index", "eigenvalue", "in_gap"],
-        [(i, float(evals[i]), int(in_gap[i])) for i in range(len(evals))],
+        [np.arange(len(evals)), evals, in_gap.astype(int)],
     )
     _write_metadata(
         out / "kink_spectrum.json",
@@ -227,10 +215,8 @@ def cmd_kink_propagate(config: RunConfig, args: argparse.Namespace) -> int:
     _write_csv(
         out / "kink_trajectory.csv",
         ["t", "re_z", "im_z", "kink_position", "energy", "n_anchor"],
-        [
-            (traj.times[i], traj.z_values[i].re, traj.z_values[i].im, traj.positions[i], traj.energies[i], traj.anchors[i])
-            for i in range(len(traj.times))
-        ],
+        [traj.times, [z.re for z in traj.z_values], [z.im for z in traj.z_values],
+         traj.positions, traj.energies, traj.anchors],
     )
     energies = np.array(traj.energies)
     positions = np.array(traj.positions)
@@ -250,6 +236,8 @@ def cmd_kink_propagate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
+    from .validate import run_validation  # scipy.integrate is needed by this command only
+
     report = run_validation(config.model_params())
     out = _out_dir(args)
     _write_metadata(out / "validation.json", "validate", config, {"report": report.as_dict()})
@@ -275,8 +263,6 @@ _COMMANDS = {
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
-    from .config import _coerce  # shared coercion rules
-
     out: dict[str, Any] = {}
     for pair in pairs:
         if "=" not in pair:

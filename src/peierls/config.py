@@ -9,6 +9,7 @@ from the metadata alone.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -81,6 +82,16 @@ class RunConfig:
         for name in ("resolution", "workers", "steps", "kink_steps", "seed_angles"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_sites < 3:
+            raise ConfigError(f"n_sites: kink chain needs at least 3 sites, got {self.n_sites}")
+        if not 0 <= self.kink_site <= self.n_sites - 2:
+            raise ConfigError(f"kink_site: kink site {self.kink_site} outside [0, {self.n_sites - 2}]")
+        for name in ("dt", "kink_dt"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("x0", "v0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         try:
             self.model_params()
         except ValueError as exc:
@@ -91,8 +102,6 @@ class RunConfig:
 
     def seeds(self) -> list[tuple[float, float]]:
         """Deterministic critical-point seeds: origin plus rings of points."""
-        import math
-
         out: list[tuple[float, float]] = [(0.0, 0.0)]
         for r in self.seed_rings:
             for k in range(self.seed_angles):

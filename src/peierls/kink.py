@@ -261,25 +261,27 @@ def propagate_kink(
     n_filled = n_sites // 2
     zeros = np.zeros(n_sites)
 
-    # step propagator U exp(-i eps dt) U^T of the anchored Hamiltonian and
-    # its staggered off-diagonal 2 (-)^j h[j, j+1], cached under (n, z)
+    # step propagator U exp(-i eps dt) U^T of the anchored Hamiltonian, its eigenvectors
+    # U and its staggered off-diagonal 2 (-)^j h[j, j+1], cached under (n, z)
     cache_key: tuple[int, float, float] | None = None
-    propagator = energy_weights = None
+    propagator = energy_weights = vectors = None
 
     def anchored(n_anchor: int, zc: CoherentAmplitude):
-        nonlocal cache_key, propagator, energy_weights
+        nonlocal cache_key, propagator, energy_weights, vectors
         key = (n_anchor, zc.re, zc.im)
         if key != cache_key:
             off = _offdiagonal(params, KinkConfiguration(n=n_anchor, z=zc, n_sites=n_sites))
-            ev, uv = eigh_tridiagonal(zeros, off)
-            propagator = (uv * np.exp(-1j * ev * dt)) @ uv.T
+            ev, vectors = eigh_tridiagonal(zeros, off)
+            propagator = (vectors * np.exp(-1j * ev * dt)) @ vectors.T
             energy_weights = 2.0 * (-1.0) ** np.arange(n_sites - 1) * off
             cache_key = key
         return propagator, energy_weights
 
     anchored(n, z)  # checks n0 as given, before the anchor offset is added
-    init_cfg = KinkConfiguration(n=n0 + initial_anchor_offset, z=z, n_sites=n_sites)
-    _, vecs = eigh_tridiagonal(zeros, _offdiagonal(params, init_cfg))
+    vecs = vectors
+    if initial_anchor_offset:
+        init_cfg = KinkConfiguration(n=n0 + initial_anchor_offset, z=z, n_sites=n_sites)
+        _, vecs = eigh_tridiagonal(zeros, _offdiagonal(params, init_cfg))
     occupied = vecs[:, :n_filled].astype(complex)
 
     def observables(zc: CoherentAmplitude) -> KinkObservables:

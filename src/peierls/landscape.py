@@ -169,6 +169,24 @@ def total_density(
     )
 
 
+def _energy_densities(params: ModelParams, z: CoherentAmplitude, phonon_norm: PhononNorm) -> dict[str, np.ndarray]:
+    """`total_density` over arrays of z, as columns ``e_phonon``, ``e_electronic``,
+    ``e_total`` and ``in_domain``; ``in_domain`` is False where the elliptic
+    parameter leaves [-1, 1], and those cells have NaN energies."""
+    loc = state_location(params, z)
+    m = elliptic_parameter(params, loc)
+    in_domain = np.abs(m) <= 1.0
+    e_phonon = np.where(in_domain, _phonon_density(params, z, phonon_norm), np.nan)
+    e_electronic = np.full(in_domain.shape, np.nan)
+    e_electronic[in_domain] = -electronic_prefactor(params, loc[in_domain]) * ellipe(m[in_domain])
+    return {
+        "e_phonon": e_phonon,
+        "e_electronic": e_electronic,
+        "e_total": e_phonon + e_electronic,
+        "in_domain": in_domain,
+    }
+
+
 def landscape_grid(
     params: ModelParams,
     re_range: tuple[float, float],
@@ -178,31 +196,16 @@ def landscape_grid(
 ) -> dict[str, np.ndarray]:
     """Energy breakdowns over a resolution x resolution grid, as flat columns.
 
-    Columns ``re``, ``im``, ``e_phonon``, ``e_electronic`` and ``e_total``
-    run over the cells in re-major order (re outer, im inner), matching
-    `total_density` cell by cell.  ``in_domain`` is False where the
-    elliptic parameter leaves [-1, 1]; those cells have NaN energies.
+    Columns ``re`` and ``im`` run over the cells in re-major order (re
+    outer, im inner); the energy columns and ``in_domain`` are those of
+    `_energy_densities`, matching `total_density` cell by cell.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     res = np.linspace(re_range[0], re_range[1], resolution) if resolution > 1 else [0.5 * sum(re_range)]
     ims = np.linspace(im_range[0], im_range[1], resolution) if resolution > 1 else [0.5 * sum(im_range)]
     re, im = (axis.ravel() for axis in np.meshgrid(res, ims, indexing="ij"))
-    z = CoherentAmplitude(re, im)  # type: ignore[arg-type]
-    loc = state_location(params, z)
-    m = elliptic_parameter(params, loc)
-    in_domain = np.abs(m) <= 1.0
-    e_phonon = np.where(in_domain, _phonon_density(params, z, phonon_norm), np.nan)
-    e_electronic = np.full(re.shape, np.nan)
-    e_electronic[in_domain] = -electronic_prefactor(params, loc[in_domain]) * ellipe(m[in_domain])
-    return {
-        "re": re,
-        "im": im,
-        "e_phonon": e_phonon,
-        "e_electronic": e_electronic,
-        "e_total": e_phonon + e_electronic,
-        "in_domain": in_domain,
-    }
+    return {"re": re, "im": im, **_energy_densities(params, CoherentAmplitude(re, im), phonon_norm)}  # type: ignore[arg-type]
 
 
 def _fd_hessian(params: ModelParams, z: np.ndarray, phonon_norm: PhononNorm) -> np.ndarray:

@@ -2,11 +2,20 @@
 
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import peierls
 import peierls.algebra
-from peierls.cli import main
+from peierls.cli import _write_csv, main
 from peierls.config import (
     ConfigError,
     RunConfig,
@@ -14,6 +23,8 @@ from peierls.config import (
     parse_config_file,
     reference_config_path,
 )
+from peierls.landscape import landscape_grid, total_density
+from peierls.model import CoherentAmplitude
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -94,6 +105,88 @@ def test_cli_out_of_range_input_exits_2(tmp_path, capsys, command, setting, mess
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"n_sites": 2}, "at least 3 sites"),
+        ({"kink_site": 500}, "kink site 500 outside"),
+        ({"kink_site": -1}, "kink site -1 outside"),
+        ({"dt": -1.0}, "dt must be positive"),
+        ({"dt": math.nan}, "dt must be positive"),
+        ({"kink_dt": 0.0}, "dt must be positive"),
+        ({"x0": math.nan}, "x0 must be finite"),
+        ({"v0": -math.inf}, "v0 must be finite"),
+    ],
+)
+def test_load_config_range_checks(setting, message):
+    # out-of-range fields fail when the config is built, before any command
+    with pytest.raises(ConfigError, match=message):
+        load_config(reference_config_path("kink_dynamics"), overrides=setting)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only `validate` needs quad, so the other commands do not pay its import
+    src = str(Path(peierls.__file__).parents[1])
+    code = "import sys, peierls.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def oracle_csv(header, columns):
+    """The per-cell rule the column writer must reproduce: the shortest
+    round-trip repr for floats, str for anything else."""
+    def fmt(v):
+        return repr(float(v)) if isinstance(v, float) else str(v)
+    lines = [",".join(header), *(",".join(fmt(v) for v in row) for row in zip(*columns))]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+SIGNED_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000000))[0]
+PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0]
+EDGE_FLOATS = [0.0, -0.0, math.nan, SIGNED_NAN, PAYLOAD_NAN, math.inf, -math.inf, 5e-324, -2.5e-310, 0.1]
+
+
+@st.composite
+def csv_columns(draw):
+    rows = draw(st.integers(0, 12))
+    floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+    kinds = {
+        "float": lambda: np.array(draw(st.lists(floats, min_size=rows, max_size=rows)), dtype=np.float64),
+        "float_list": lambda: draw(st.lists(floats, min_size=rows, max_size=rows)),
+        "int": lambda: np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=rows, max_size=rows))),
+        "str": lambda: draw(st.lists(st.text("abcdefghijklmnopqrstuvwxyz_", max_size=6), min_size=rows, max_size=rows)),
+    }
+    chosen = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=5))
+    return [kinds[kind]() for kind in chosen]
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=csv_columns())
+@example(columns=[np.array([0.0, -0.0, -0.0, 0.0, math.nan, SIGNED_NAN, PAYLOAD_NAN, math.inf, -math.inf, 5e-324]),
+                  np.arange(10), ["a", "b", "", "ok", "domain", "a", "b", "c", "d", "e"]])
+@example(columns=[np.array([]), [], np.array([], dtype=int)])
+def test_write_csv_matches_per_cell_oracle(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    header = [f"c{i}" for i in range(len(columns))]
+    _write_csv(path, header, columns)
+    assert path.read_bytes() == oracle_csv(header, columns)
+
+
+def test_cli_landscape_with_domain_cells_matches_oracle(tmp_path):
+    overrides = ["--set", "w=-3", "--set", "re_max=1.5"]
+    assert main(["landscape", "--reference", "kink_dynamics", "-o", str(tmp_path), *overrides]) == 0
+    cfg = load_config(reference_config_path("kink_dynamics"), overrides={"w": -3.0, "re_max": 1.5})
+    assert cfg.resolution == 41
+    grid = landscape_grid(cfg.model_params(), (cfg.re_min, cfg.re_max), (cfg.im_min, cfg.im_max), cfg.resolution)
+    assert 0 < np.count_nonzero(~grid["in_domain"]) < grid["in_domain"].size
+    names = ["re", "im", "e_phonon", "e_electronic", "e_total"]
+    status = ["ok" if ok else "domain" for ok in grid["in_domain"].tolist()]
+    expected = oracle_csv([*names, "status"], [*(grid[name] for name in names), status])
+    assert (tmp_path / "landscape.csv").read_bytes() == expected
+
+
 def test_cli_landscape_deterministic_across_workers(tmp_path):
     args = ["landscape", "--reference", "double_well", "--set", "resolution=11"]
     assert main(args + ["-o", str(tmp_path / "a"), "--workers", "1"]) == 0
@@ -154,6 +247,18 @@ def test_cli_dynamics_fixed_point_constant_trajectory(tmp_path):
     for row in rows:
         _, x, v, _ = row.split(",")
         assert abs(float(x)) < 1e-12 and abs(float(v)) < 1e-12
+
+
+def test_cli_dynamics_e_total_is_total_density_at_z_half_x(tmp_path):
+    assert main(["dynamics", "--reference", "kink_dynamics", "-o", str(tmp_path),
+                 "--set", "x0=0.07", "--set", "steps=300"]) == 0
+    params = load_config(reference_config_path("kink_dynamics")).model_params()
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == 301
+    for row in rows:
+        _, x, _, e_total = map(float, row.split(","))
+        expected = total_density(params, CoherentAmplitude(0.5 * x, 0.5 * x)).total
+        assert e_total == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_cli_kink_spectrum(tmp_path):

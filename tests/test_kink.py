@@ -234,6 +234,20 @@ def test_initial_energy_is_filled_sea_plus_phonon():
     assert traj.energies[0] == pytest.approx(expected, rel=1e-12)
 
 
+def test_offset_zero_reuses_the_anchor_decomposition(monkeypatch):
+    # with no anchor offset the initial orbitals are the anchored chain's own
+    # ground state, so one eigensolve serves both until the wall hops
+    import peierls.kink
+
+    calls = []
+    solve = peierls.kink.eigh_tridiagonal
+    monkeypatch.setattr(peierls.kink, "eigh_tridiagonal", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    traj = propagate_kink(reference_params(), z_min(), 30, dt=0.5, steps=10, n_sites=60,
+                          initial_anchor_offset=0, z_functional="frozen")
+    assert set(traj.anchors) == {30}
+    assert len(calls) == 1
+
+
 def test_unknown_z_functional_rejected():
     with pytest.raises(ValueError, match="z_functional"):
         propagate_kink(reference_params(), z_min(), 30, dt=0.5, steps=1, n_sites=60,
