@@ -103,6 +103,7 @@ def cmd_critical_points(config: RunConfig, args: argparse.Namespace) -> int:
         phonon_norm=config.phonon_norm,  # type: ignore[arg-type]
         max_step=config.max_step,
     )
+    counts = {kind: sum(p.kind == kind for p in points) for kind in ("minimum", "saddle", "maximum", "marginal")}
     out = _out_dir(args)
     _write_csv(
         out / "critical_points.csv",
@@ -114,7 +115,7 @@ def cmd_critical_points(config: RunConfig, args: argparse.Namespace) -> int:
         out / "critical_points.json",
         "critical-points",
         config,
-        {"counts": {kind: sum(p.kind == kind for p in points) for kind in ("minimum", "saddle", "maximum", "marginal")}},
+        {"counts": counts, "seeds": points.seeds},
     )
     return EXIT_OK
 

@@ -16,12 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
-from .landscape import (
-    DomainError,
-    PhononNorm,
-    d_electronic_d_loc,
-    total_gradient,
-)
+from .landscape import DomainError, PhononNorm, _electronic_slopes, total_gradient
 from .model import CoherentAmplitude, ModelParams
 
 __all__ = [
@@ -56,6 +51,14 @@ class Trajectory:
         return self.states[-1]
 
 
+def _kernel(params: ModelParams, x: float, p: float, strict_paper: bool) -> tuple[float, float]:
+    """P(x, p) and its slope dP/dx at fixed p from one `landscape._electronic_slopes` call."""
+    zeta, kappa = (1.0, 1.0) if strict_paper else (params.zeta, params.kappa)
+    d1, d2 = _electronic_slopes(params, math.sqrt(2.0) * (zeta * x + kappa * p))
+    # du/dx = sqrt(2) zeta; with zeta = 0 P does not depend on x (and d2 may be -inf)
+    return -(2.0 * math.sqrt(2.0) / math.pi) * d1, (-(4.0 * zeta / math.pi) * d2 if zeta else 0.0)
+
+
 def script_p(params: ModelParams, x: float, p: float, strict_paper: bool = False) -> float:
     """The drive kernel P(x, p) = -(2*sqrt(2)/pi) * dE_el/d(loc) at loc = u.
 
@@ -65,22 +68,20 @@ def script_p(params: ModelParams, x: float, p: float, strict_paper: bool = False
     hypergeometric normalization this is the originally written form
     (4*sqrt(2)*g/pi) * sinh(u)/(xi*(q+1/q)) * (E(m) - xi*(E(m)-F(m))/(m*cosh(u)^2)).
     """
-    zeta, kappa = (1.0, 1.0) if strict_paper else (params.zeta, params.kappa)
-    u = math.sqrt(2.0) * (zeta * x + kappa * p)
-    return -(2.0 * math.sqrt(2.0) / math.pi) * d_electronic_d_loc(params, u)
+    return _kernel(params, x, p, strict_paper)[0]
 
 
 def script_p_x(params: ModelParams, x: float, p: float, strict_paper: bool = False) -> float:
-    """Partial dP/dx at fixed p, by central difference (step 1e-6*(1+|x|))."""
-    h = 1e-6 * (1.0 + abs(x))
-    return (script_p(params, x + h, p, strict_paper) - script_p(params, x - h, p, strict_paper)) / (2.0 * h)
+    """Partial dP/dx at fixed p, -(4 zeta/pi) d2E_el/d(loc)2 at loc = u; +inf at u = 0."""
+    return _kernel(params, x, p, strict_paper)[1]
 
 
 def ode_rhs(params: ModelParams, state: PhaseState, strict_paper: bool = False) -> tuple[float, float]:
     """(dx/dt, dv/dt) of the restricted oscillator, with P evaluated at p = x."""
     x, v = state.x, state.v
-    pval = script_p(params, x, x, strict_paper)
-    px = script_p_x(params, x, x, strict_paper)
+    pval, px = _kernel(params, x, x, strict_paper)
+    if math.isinf(px):  # u = 0: the cusp's log singularity is integrable; a stage sample takes slope 0 there
+        px = 0.0
     return v, (x - pval) * (1.0 - px) - v * px
 
 
@@ -92,9 +93,8 @@ def fixed_point_branches(
     Returns (x equals the kernel value, kernel slope equals one); a point
     with both False is not a fixed point of the restricted oscillator.
     """
-    on_kernel = abs(x - script_p(params, x, x, strict_paper)) < tol
-    unit_slope = abs(script_p_x(params, x, x, strict_paper) - 1.0) < tol
-    return on_kernel, unit_slope
+    pval, px = _kernel(params, x, x, strict_paper)
+    return abs(x - pval) < tol, abs(px - 1.0) < tol
 
 
 def integrate(

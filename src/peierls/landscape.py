@@ -3,8 +3,8 @@
 The electronic part is evaluated either in closed form (elliptic integral
 of the continuum limit) or as the finite-L sum of per-mode lower
 eigenvalues.  Critical points of the total density are located by damped
-Newton iteration on the analytic gradient and classified by a
-central-difference Hessian; the off-origin double minimum together with
+Newton iteration on the analytic gradient and Hessian and classified by
+the Hessian's eigenvalues; the off-origin double minimum together with
 the saddle at the origin is the numerical Peierls check.  Grids are
 evaluated as numpy arrays in one process; the ``workers`` config field and
 ``--workers`` flag are accepted and have no effect.
@@ -17,16 +17,17 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
-from scipy.special import ellipe
+from scipy.special import ellipe, ellipkm1
 
 from .algebra import deformed_mode_matrix, mode_eigenvalues, mode_energies, xi
 from .model import CoherentAmplitude, ModelParams, effective_coupling, state_location
-from .special import de_dm, elliptic_e
+from .special import _check_finite, _e_derivatives, elliptic_e
 
 __all__ = [
     "DomainError",
     "EnergyBreakdown",
     "CriticalPoint",
+    "CriticalPoints",
     "PhononNorm",
     "phonon_energy_total",
     "electronic_density_continuum",
@@ -68,7 +69,7 @@ class CriticalPoint:
 
 def phonon_energy_total(z: CoherentAmplitude, big_l: int) -> float:
     """Coherent-state phonon energy 2L(4 Re(z)^2 + Im(z)^2 + 3/4)."""
-    return 2.0 * big_l * (4.0 * z.re**2 + z.im**2 + 0.75)
+    return 2.0 * big_l * (4.0 * z.re * z.re + z.im * z.im + 0.75)
 
 
 def electronic_prefactor(params: ModelParams, loc: float | np.ndarray) -> float | np.ndarray:
@@ -79,7 +80,8 @@ def electronic_prefactor(params: ModelParams, loc: float | np.ndarray) -> float 
 
 def elliptic_parameter(params: ModelParams, loc: float | np.ndarray) -> float | np.ndarray:
     """m_q = 1 - xi_q tanh(loc)^2, elementwise over an array of locations."""
-    return 1.0 - xi(params.q, params.w) * np.tanh(loc) ** 2
+    th = np.tanh(loc)  # th * th: a scalar ** calls C pow, which can miss numpy's array square by an ulp
+    return 1.0 - xi(params.q, params.w) * (th * th)
 
 
 def _check_domain(m: float) -> float:
@@ -95,25 +97,43 @@ def electronic_density_continuum(params: ModelParams, z: CoherentAmplitude) -> f
     return -float(electronic_prefactor(params, loc)) * elliptic_e(m)
 
 
-def d_electronic_d_loc(params: ModelParams, loc: float) -> float:
-    """Analytic d/d(loc) of the continuum electronic density.
-
-    Chain rule through E(m_q) with dE/dm = (E - K)/(2m); the combination
-    is evaluated by series near m = 0 (see `special.de_dm`).
-    """
-    if loc == 0.0:
-        return 0.0
+def _electronic_slopes(params: ModelParams, loc: float) -> tuple[float, float]:
+    """dE_el/d(loc) = -p_q sinh (E - 2 xi_q E_m / cosh^2) and d2E_el/d(loc)2 =
+    -p_q (cosh E - 2 xi_q (E_m - 2 p E_mm) / cosh^3) from one E, K pair, with E_m = dE/dm,
+    p_q = (2/pi) g q^w and p = 1 - m = xi_q tanh(loc)^2 formed directly (K = ellipkm1(p)), so
+    m -> 1 neither cancels nor divides by p.  At p = 0 (loc = 0) they are 0 and -inf, the
+    Delta^2 ln Delta cusp of the Peierls energy."""
     xq = xi(params.q, params.w)
-    m = _check_domain(1.0 - xq * math.tanh(loc) ** 2)
-    g = effective_coupling(params)
-    pref = (2.0 / math.pi) * g * params.q**params.w
-    th, ch = math.tanh(loc), math.cosh(loc)
-    if m == 1.0:
-        # loc so small that m rounds to 1; the dE/dm correction carries a
-        # vanishing tanh factor against a log divergence and drops out
-        return -pref * math.sinh(loc)
-    dm_dloc = -2.0 * xq * th / ch**2
-    return -pref * (math.sinh(loc) * elliptic_e(m) + ch * de_dm(m) * dm_dloc)
+    th = math.tanh(loc)
+    p = xq * th * th
+    if p == 0.0:
+        return 0.0, -math.inf
+    m = _check_domain(_check_finite(1.0 - p))
+    e = float(ellipe(m))
+    e_m, p_e_mm = _e_derivatives(m, p, e, float(ellipkm1(p)))
+    ch = math.cosh(loc)
+    pref = (2.0 / math.pi) * effective_coupling(params) * params.q**params.w
+    d2 = -pref * (ch * e - 2.0 * xq * (e_m - 2.0 * p_e_mm) / (ch * ch * ch))
+    return -pref * math.sinh(loc) * (e - 2.0 * xq * e_m / (ch * ch)), d2
+
+
+def d_electronic_d_loc(params: ModelParams, loc: float) -> float:
+    """Analytic d/d(loc) of the continuum electronic density (see `_electronic_slopes`)."""
+    return _electronic_slopes(params, loc)[0]
+
+
+def _gradient_and_hessian(
+    params: ModelParams, z: CoherentAmplitude, phonon_norm: PhononNorm
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the total density w.r.t. (Re z, Im z) from one `_electronic_slopes`
+    call: the phonon diagonal plus 8 d2E_el/d(loc)2 (zeta, kappa)^T (zeta, kappa)."""
+    scale, zeta, kappa = (1.0 if phonon_norm == "per-cell" else 0.5), params.zeta, params.kappa
+    d1, d2 = _electronic_slopes(params, state_location(params, z))
+    g = d1 * 2.0 * math.sqrt(2.0)
+    c = 8.0 * d2 if zeta or kappa else 0.0  # with both 0, loc = 0 (d2 = -inf) at every z and drops out
+    grad = np.array([16.0 * scale * z.re + g * zeta, 4.0 * scale * z.im + g * kappa])
+    hess = [[16.0 * scale + c * zeta * zeta, c * zeta * kappa], [c * zeta * kappa, 4.0 * scale + c * kappa * kappa]]
+    return grad, np.array(hess)
 
 
 def total_gradient(
@@ -122,11 +142,7 @@ def total_gradient(
     phonon_norm: PhononNorm = "per-cell",
 ) -> np.ndarray:
     """Analytic gradient of the total density w.r.t. (Re z, Im z)."""
-    scale = 1.0 if phonon_norm == "per-cell" else 0.5
-    grad_ph = scale * np.array([16.0 * z.re, 4.0 * z.im])
-    de = d_electronic_d_loc(params, state_location(params, z))
-    grad_el = de * 2.0 * math.sqrt(2.0) * np.array([params.zeta, params.kappa])
-    return grad_ph + grad_el
+    return _gradient_and_hessian(params, z, phonon_norm)[0]
 
 
 def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> float:
@@ -208,19 +224,6 @@ def landscape_grid(
     return {"re": re, "im": im, **_energy_densities(params, CoherentAmplitude(re, im), phonon_norm)}  # type: ignore[arg-type]
 
 
-def _fd_hessian(params: ModelParams, z: np.ndarray, phonon_norm: PhononNorm) -> np.ndarray:
-    hess = np.empty((2, 2))
-    for i in range(2):
-        step = 1e-4 * (1.0 + abs(z[i]))
-        zp, zm = z.copy(), z.copy()
-        zp[i] += step
-        zm[i] -= step
-        gp = total_gradient(params, CoherentAmplitude(*zp), phonon_norm)
-        gm = total_gradient(params, CoherentAmplitude(*zm), phonon_norm)
-        hess[i] = (gp - gm) / (2.0 * step)
-    return 0.5 * (hess + hess.T)
-
-
 def _classify(eigs: np.ndarray) -> str:
     if np.any(np.abs(eigs) < 1e-8):
         return "marginal"
@@ -231,6 +234,13 @@ def _classify(eigs: np.ndarray) -> str:
     return "saddle"
 
 
+class CriticalPoints(list):
+    """`find_critical_points` result; `seeds` counts the seeds tried, converged,
+    skipped (no convergence, or out of domain) and deduplicated."""
+
+    seeds: dict[str, int]
+
+
 def find_critical_points(
     params: ModelParams,
     seeds: Iterable[tuple[float, float]] | Sequence[CoherentAmplitude],
@@ -238,32 +248,35 @@ def find_critical_points(
     max_iter: int = 200,
     phonon_norm: PhononNorm = "per-cell",
     max_step: float | None = None,
-) -> list[CriticalPoint]:
+) -> CriticalPoints:
     """Damped Newton descent on the gradient from each seed.
 
+    Gradient and analytic Hessian come from one evaluation per iterate; the
+    step is -grad where the Hessian is singular or, at loc = 0, not finite.
     Converged points are deduplicated within 1e-6 and classified by the
-    sign pattern of the central-difference Hessian.  Seeds that fail to
-    converge are skipped (reported by the CLI layer, not fatal).
+    sign pattern of the Hessian eigenvalues.  Seeds that fail to converge
+    are skipped (counted in the result's `seeds`, not fatal).
     `max_step` caps the Newton step length (trust radius), keeping each
     seed attached to its local basin instead of jumping to far saddles.
     """
-    found: list[CriticalPoint] = []
+    found = CriticalPoints()
+    found.seeds = dict.fromkeys(("tried", "converged", "skipped", "deduplicated"), 0)
     for seed in seeds:
+        found.seeds["tried"] += 1
         if isinstance(seed, CoherentAmplitude):
             pt = np.array([seed.re, seed.im])
         else:
             pt = np.array(seed, dtype=float)
         converged = False
         try:
-            grad = total_gradient(params, CoherentAmplitude(*pt), phonon_norm)
+            grad, hess = _gradient_and_hessian(params, CoherentAmplitude(*pt), phonon_norm)
             for _ in range(max_iter):
                 gnorm = float(np.linalg.norm(grad))
                 if gnorm < tol:
                     converged = True
                     break
-                hess = _fd_hessian(params, pt, phonon_norm)
                 try:
-                    step = np.linalg.solve(hess, -grad)
+                    step = np.linalg.solve(hess, -grad) if np.isfinite(hess).all() else -grad
                 except np.linalg.LinAlgError:
                     step = -grad
                 if max_step is not None:
@@ -275,23 +288,31 @@ def find_critical_points(
                 for _ in range(40):
                     trial = pt + lam * step
                     try:
-                        gt = total_gradient(params, CoherentAmplitude(*trial), phonon_norm)
+                        gt, ht = _gradient_and_hessian(params, CoherentAmplitude(*trial), phonon_norm)
                     except DomainError:
                         lam *= 0.5
                         continue
                     if np.linalg.norm(gt) < gnorm:
-                        pt, grad = trial, gt
+                        pt, grad, hess = trial, gt, ht
                         break
                     lam *= 0.5
                 else:
                     break
         except DomainError:
-            continue
+            pass
         if not converged:
+            found.seeds["skipped"] += 1
             continue
+        found.seeds["converged"] += 1
         if any(np.hypot(pt[0] - c.location[0], pt[1] - c.location[1]) < 1e-6 for c in found):
+            found.seeds["deduplicated"] += 1
             continue
-        eigs = np.linalg.eigvalsh(_fd_hessian(params, pt, phonon_norm))
+        if np.isfinite(hess).all():
+            eigs = np.linalg.eigvalsh(hess)
+        else:  # loc = 0: -inf along (zeta, kappa), and across it only the phonons curve
+            zeta2, kappa2 = params.zeta**2, params.kappa**2
+            across = (16.0 * kappa2 + 4.0 * zeta2) / (zeta2 + kappa2) * (1.0 if phonon_norm == "per-cell" else 0.5)
+            eigs = np.array([-math.inf, across])
         found.append(
             CriticalPoint(
                 location=(float(pt[0]), float(pt[1])),

@@ -68,15 +68,20 @@ _DE_DM_SERIES = (1.0, 3.0 / 8.0, 15.0 / 64.0, 175.0 / 1024.0, 2205.0 / 16384.0)
 
 
 def de_dm(m: float) -> float:
-    """dE/dm = (E(m) - K(m)) / (2m), series-evaluated for |m| < 1e-4.
-
-    The direct quotient cancels catastrophically near m = 0; the series
-    branch keeps the combination smooth there.
-    """
+    """dE/dm = (E(m) - K(m)) / (2m), series-evaluated near m = 0 (see `_e_derivatives`)."""
     m = _check_finite(m)
-    if abs(m) < 1e-4:
-        acc = 0.0
+    return _e_derivatives(m, 1.0 - m, elliptic_e(m), elliptic_k(m))[0]
+
+
+def _e_derivatives(m: float, p: float, e: float, k: float) -> tuple[float, float]:
+    """dE/dm = (E - K)/(2m) and (1 - m) d2E/dm2 = -((1 + p) E - 2 p K)/(4 m^2)
+    at m = 1 - p from E(m), K(m) (DLMF 19.4.1): no 1/(1 - m), so both stay
+    finite as m -> 1.  The quotients lose eps/m and eps/m^2 near m = 0, so
+    |m| < 2.5e-3 takes the series and its derivative, where the two errors meet."""
+    if abs(m) < 2.5e-3:
+        acc = dacc = 0.0
         for c in reversed(_DE_DM_SERIES):
+            dacc = dacc * m + acc
             acc = acc * m + c
-        return -(math.pi / 8.0) * acc
-    return (elliptic_e(m) - elliptic_k(m)) / (2.0 * m)
+        return -(math.pi / 8.0) * acc, -(math.pi / 8.0) * p * dacc
+    return (e - k) / (2.0 * m), -((1.0 + p) * e - 2.0 * p * k) / (4.0 * m * m)

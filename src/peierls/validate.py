@@ -22,6 +22,7 @@ from scipy.integrate import quad
 from .algebra import deformed_mode_matrix, lambda_discrepancy, mode_eigenvalues, mode_energies, xi
 from .kink import KinkConfiguration, difference_operator, kink_spectrum, zero_subspace, _omega
 from .landscape import (
+    _electronic_slopes,
     electronic_density_continuum,
     electronic_density_modesum,
     total_density,
@@ -192,6 +193,16 @@ def _check_landscape(report: ValidationReport, params: ModelParams) -> None:
     report.add("landscape-gradient", grad_err, 1e-6, "analytic vs central-difference gradient, 50 points")
 
 
+def _check_curvature(report: ValidationReport) -> None:
+    params, _ = _reference_state(q=1.5, w=-1.0)  # xi_q = 1.385: m < 0 beyond |loc| = 1.2554
+    worst = 0.0
+    for loc in (1e-9, 1e-6, 1e-3, 0.05, -0.4, 1.0, 1.25, 1.26, 1.6, -3.0):
+        h = 1e-4 * min(abs(loc), 1.0)
+        fd = (_electronic_slopes(params, loc + h)[0] - _electronic_slopes(params, loc - h)[0]) / (2.0 * h)
+        worst = max(worst, abs(_electronic_slopes(params, loc)[1] / fd - 1.0))
+    report.add("landscape-curvature", worst, 1e-6, "analytic d2E_el/dloc2 vs central difference of dE_el/dloc")
+
+
 def _check_kink(report: ValidationReport, params: ModelParams) -> None:
     n_sites = 200
     cfg0 = KinkConfiguration(n=n_sites // 2, z=CoherentAmplitude(0.0, 0.0), n_sites=n_sites)
@@ -240,6 +251,7 @@ def run_validation(params: ModelParams | None = None) -> ValidationReport:
     _check_lambda_forms(report)
     _check_modesum(report)
     _check_landscape(report, params)
+    _check_curvature(report)
     _check_kink(report, params)
     _check_proportionality(report)
     return report

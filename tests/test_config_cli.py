@@ -228,6 +228,31 @@ def test_cli_critical_points_decoupled(tmp_path):
     assert math.hypot(float(re_val), float(im_val)) < 1e-10
 
 
+def test_cli_critical_points_reports_seeds_and_cusp(tmp_path):
+    assert main(["critical-points", "--reference", "double_well", "-o", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "critical_points.json").read_text())
+    assert meta["counts"] == {"minimum": 2, "saddle": 1, "maximum": 0, "marginal": 0}
+    assert meta["seeds"] == {"tried": 17, "converged": 17, "skipped": 0, "deduplicated": 14}
+    header, saddle, *_ = (tmp_path / "critical_points.csv").read_text().splitlines()
+    assert header == "kind,re,im,gradient_norm,hessian_eig_low,hessian_eig_high"
+    assert saddle.split(",")[0] == "saddle" and saddle.split(",")[4] == "-inf"
+
+
+def test_validate_curvature_gate(monkeypatch):
+    import peierls.validate as validate
+
+    report = validate.ValidationReport()
+    validate._check_curvature(report)
+    (check,) = report.checks
+    assert check.name == "landscape-curvature" and check.passed and check.measured < 1e-7
+    # a curvature off by 1e-5 relative must fail the gate
+    slopes = validate._electronic_slopes
+    monkeypatch.setattr(validate, "_electronic_slopes", lambda p, loc: (slopes(p, loc)[0], 1.00001 * slopes(p, loc)[1]))
+    report = validate.ValidationReport()
+    validate._check_curvature(report)
+    assert not report.checks[0].passed
+
+
 def test_cli_spectrum_constant(tmp_path):
     rc = main(["spectrum", "--reference", "double_well", "-o", str(tmp_path),
                "--set", "q=1.0", "--set", "z_re=0.05", "--set", "z_im=0.05"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import peierls.dynamics
 from peierls.config import load_config, reference_config_path
 from peierls.dynamics import (
     PhaseState,
@@ -89,6 +90,33 @@ def test_origin_is_fixed_point_on_kernel_branch():
     assert on_kernel
     traj = integrate(params, PhaseState(0.0, 0.0), dt=0.01, steps=100)
     assert abs(traj.final.x) < 1e-12 and abs(traj.final.v) < 1e-12
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_kernel_slope_matches_central_difference(strict):
+    params = reference_params()
+    for x, p in ((0.05, 0.05), (0.2, -0.1), (-0.3, 0.25), (1e-4, 1e-4)):
+        h = 1e-7 * max(abs(x), 1e-3)
+        fd = (script_p(params, x + h, p, strict) - script_p(params, x - h, p, strict)) / (2.0 * h)
+        assert script_p_x(params, x, p, strict) == pytest.approx(fd, rel=1e-7)
+    assert script_p_x(params, 0.0, 0.0) == math.inf  # the Delta^2 ln Delta cusp
+
+
+def test_integrate_evaluates_the_kernel_once_per_rk4_stage(monkeypatch):
+    params = reference_params()
+    calls = []
+    slopes = peierls.dynamics._electronic_slopes
+    monkeypatch.setattr(peierls.dynamics, "_electronic_slopes", lambda *a: calls.append(a) or slopes(*a))
+    traj = integrate(params, PhaseState(0.03, 0.0), dt=0.01, steps=25)
+    assert len(traj.states) == 26 and len(calls) == 4 * 25
+
+
+def test_start_on_cusp_with_velocity_settles():
+    # the first RK4 stage samples u = 0 exactly, where the slope is infinite
+    cfg = reference_config()
+    traj = integrate(cfg.model_params(), PhaseState(0.0, 0.1), cfg.dt, cfg.steps, settle_tol=cfg.settle_tol)
+    assert traj.termination == "settled"
+    assert abs(traj.final.x - X_ATTRACTOR) < 1e-3
 
 
 def test_trajectory_parity():

@@ -2,13 +2,18 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import peierls.landscape
+from peierls.algebra import xi
 from peierls.config import load_config, reference_config_path
 from peierls.landscape import (
     DomainError,
+    _electronic_slopes,
+    _energy_densities,
     d_electronic_d_loc,
     domain_limit,
     electronic_density_continuum,
@@ -19,7 +24,7 @@ from peierls.landscape import (
     total_density,
     total_gradient,
 )
-from peierls.model import CoherentAmplitude, ModelParams
+from peierls.model import CoherentAmplitude, ModelParams, effective_coupling
 
 
 def g_one_params(big_l=64, q=1.0, w=0.0):
@@ -85,6 +90,87 @@ def test_analytic_d_loc_matches_finite_difference():
             - electronic_density_continuum(p, amplitude(loc - h))
         ) / (2.0 * h)
         assert d_electronic_d_loc(p, loc) == pytest.approx(fd, rel=1e-6)
+
+
+def _mpmath_slopes(params, loc):
+    """d/d(loc) and d2/d(loc)2 of -p_q cosh(loc) E(1 - xi_q tanh(loc)^2) at 50
+    digits, by mpmath's differentiation of the density itself."""
+    with mpmath.workdps(50):
+        xq = mpmath.mpf(xi(params.q, params.w))
+        pref = mpmath.mpf((2.0 / math.pi) * effective_coupling(params) * params.q**params.w)
+        density = lambda u: -pref * mpmath.cosh(u) * mpmath.ellipe(1 - xq * mpmath.tanh(u) ** 2)  # noqa: E731
+        loc = mpmath.mpf(loc)
+        h = abs(loc) * mpmath.mpf("1e-20")
+        return float(mpmath.diff(density, loc, 1, h=h)), float(mpmath.diff(density, loc, 2, h=h))
+
+
+@pytest.mark.parametrize("loc", [1e-12, 1e-9, 1e-7, 1e-6, 1e-4, 0.05, 0.3])
+def test_slopes_match_mpmath_at_small_loc(loc):
+    # m = 1 - xi tanh^2 rounds towards 1 here; p = xi tanh^2 and K = ellipkm1(p)
+    # keep the loc ln(1/loc) term of the slope and the ln(1/loc) of the curvature
+    params = load_config(reference_config_path("kink_dynamics")).model_params()
+    d1, d2 = _electronic_slopes(params, loc)
+    o1, o2 = _mpmath_slopes(params, loc)
+    assert d1 == pytest.approx(o1, rel=1e-13)
+    assert d2 == pytest.approx(o2, rel=1e-13)
+    assert d_electronic_d_loc(params, -loc) == -d1
+
+
+@pytest.mark.parametrize("m", [2.4e-3, -2.4e-3, 2.6e-3, -2.6e-3, 0.02, -0.02, -0.3])
+def test_slopes_match_mpmath_near_m_zero(m):
+    # both sides of the series branch of `special._e_derivatives` (|m| < 2.5e-3)
+    params = load_config(reference_config_path("kink_dynamics")).model_params()
+    loc = math.atanh(math.sqrt((1.0 - m) / params.xi_q))
+    d1, d2 = _electronic_slopes(params, loc)
+    o1, o2 = _mpmath_slopes(params, loc)
+    assert d1 == pytest.approx(o1, rel=1e-13)
+    assert d2 == pytest.approx(o2, rel=5e-11)
+
+
+@given(
+    st.sampled_from([(1.5, -1.0), (1.0, 0.0), (1.5, -3.0)]),
+    st.floats(min_value=1e-3, max_value=0.95),
+    st.sampled_from([1.0, -1.0]),
+)
+@example((1.5, -1.0), 0.3, 1.0)
+def test_curvature_matches_five_point_difference_of_slope(qw, fraction, sign):
+    params = g_one_params(q=qw[0], w=qw[1])
+    reach = min(3.0, domain_limit(params))  # xi > 2 (w = -3) bounds loc; m < 0 beyond tanh^2 = 1/xi
+    loc = sign * fraction * reach
+    h = 1e-3 * min(abs(loc), 1.0)
+    f = [d_electronic_d_loc(params, loc + k * h) for k in (-2, -1, 1, 2)]
+    fd = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+    assert _electronic_slopes(params, loc)[1] == pytest.approx(fd, rel=1e-8, abs=1e-10)
+
+
+def test_origin_slope_zero_and_curvature_minus_infinity():
+    params = load_config(reference_config_path("kink_dynamics")).model_params()
+    assert _electronic_slopes(params, 0.0) == (0.0, -math.inf)
+    assert _electronic_slopes(params, 1e-9)[1] < _electronic_slopes(params, 1e-6)[1] < 0.0
+    with pytest.raises(ValueError, match="finite"):
+        _electronic_slopes(params, math.nan)
+
+
+@pytest.mark.parametrize(
+    "re, im", [(-0.02616900268718804, -0.02616900268718804), (-0.4050677150573715, -0.3190496689261719), (0.0, 0.0)]
+)
+def test_total_density_scalar_and_array_bitwise(re, im):
+    # a scalar ** 2 calls C pow: 0.5025 ulp off for Re z = -0.02616900268718804 in
+    # the phonon energy, and one ulp off numpy's square in tanh(loc)^2 at the second point
+    _, p = double_well_params()
+    for norm in ("per-cell", "per-site"):
+        columns = _energy_densities(p, CoherentAmplitude(np.array([re]), np.array([im])), norm)
+        assert total_density(p, CoherentAmplitude(re, im), norm).total == columns["e_total"][0]
+
+
+@given(st.floats(min_value=-0.5, max_value=0.5), st.floats(min_value=-0.5, max_value=0.5))
+def test_total_density_scalar_and_array_bitwise_hypothesis(re, im):
+    _, p = double_well_params()
+    columns = _energy_densities(p, CoherentAmplitude(np.array([re]), np.array([im])), "per-cell")
+    breakdown = total_density(p, CoherentAmplitude(re, im))
+    assert (breakdown.phonon, breakdown.electronic, breakdown.total) == (
+        columns["e_phonon"][0], columns["e_electronic"][0], columns["e_total"][0]
+    )
 
 
 def test_total_gradient_matches_finite_difference():
@@ -184,6 +270,46 @@ def test_reference_double_well_structure():
     assert abs(e[0] - e[1]) < 1e-10
     assert abs(minima[0].location[0] + minima[1].location[0]) < 1e-8
     assert abs(minima[0].location[1] + minima[1].location[1]) < 1e-8
+
+
+@pytest.mark.parametrize("norm, scale", [("per-cell", 1.0), ("per-site", 0.5)])
+def test_origin_saddle_eigenvalues_are_exact(norm, scale):
+    # at loc = 0 the curvature along (zeta, kappa) is -inf; across it only
+    # the phonons curve: (16 kappa^2 + 4 zeta^2) / (zeta^2 + kappa^2)
+    cfg, p = double_well_params()
+    points = find_critical_points(p, cfg.seeds(), tol=cfg.newton_tol, phonon_norm=norm, max_step=cfg.max_step)
+    (saddle,) = [c for c in points if c.kind == "saddle"]
+    across = scale * (16.0 * p.kappa**2 + 4.0 * p.zeta**2) / (p.zeta**2 + p.kappa**2)
+    assert saddle.location == (0.0, 0.0)
+    assert saddle.hessian_eigs == (-math.inf, pytest.approx(across, rel=1e-15))
+
+
+def test_critical_point_seed_counts():
+    cfg, p = double_well_params()
+    points = find_critical_points(p, cfg.seeds(), tol=cfg.newton_tol, max_step=cfg.max_step)
+    assert points.seeds == {"tried": 17, "converged": 17, "skipped": 0, "deduplicated": 14}
+    # w = -3 bounds the domain: a seed beyond it is skipped, max_iter = 1 skips an unconverged one
+    wide = g_one_params(q=1.5, w=-3.0)
+    far = 1.01 * domain_limit(wide) / (2.0 * math.sqrt(2.0))
+    points = find_critical_points(wide, [(0.0, 0.0), (far, 0.0), (0.0, 0.0)])
+    assert points.seeds == {"tried": 3, "converged": 2, "skipped": 1, "deduplicated": 1}
+    points = find_critical_points(p, [(0.05, 0.05)], max_iter=1)
+    assert points == [] and points.seeds == {"tried": 1, "converged": 0, "skipped": 1, "deduplicated": 0}
+
+
+def test_newton_hessian_reuses_the_gradient_evaluation(monkeypatch):
+    # one `_electronic_slopes` call per trial point gives both gradient and
+    # Hessian; neither the iteration nor the classification adds any
+    cfg, p = double_well_params()
+    calls = []
+    slopes = peierls.landscape._electronic_slopes
+    monkeypatch.setattr(peierls.landscape, "_electronic_slopes", lambda *a: calls.append(a) or slopes(*a))
+    monkeypatch.setattr(peierls.landscape, "total_gradient", None)
+    find_critical_points(p, [(0.1, 0.1)], max_iter=1)
+    assert len(calls) == 2  # the seed, then one full Newton step, accepted
+    calls.clear()
+    (point,) = find_critical_points(p, [(0.0, 0.0)])
+    assert point.kind == "saddle" and len(calls) == 1
 
 
 def test_reference_minima_vanish_at_q_one():

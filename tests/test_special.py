@@ -91,7 +91,7 @@ def test_de_dm_at_zero():
     assert de_dm(0.0) == pytest.approx(-math.pi / 8.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("m", [1e-4, -1e-4, 9.9e-5, -9.9e-5])
+@pytest.mark.parametrize("m", [1e-4, -1e-4, 9.9e-5, -9.9e-5, 2.5e-3, -2.5e-3, 2.49e-3, -2.49e-3])
 def test_de_dm_series_matches_quotient_at_branch(m):
     quotient = (elliptic_e(m) - elliptic_k(m)) / (2.0 * m)
     assert de_dm(m) == pytest.approx(quotient, rel=1e-8)
