@@ -36,7 +36,7 @@ def main() -> None:
     traj = propagate_kink(
         params, z, cfg.kink_site, cfg.kink_dt, cfg.kink_steps,
         n_sites=cfg.n_sites, initial_anchor_offset=cfg.anchor_offset,
-        z_functional=cfg.z_motion, hysteresis=cfg.hysteresis,
+        hysteresis=cfg.hysteresis,
     )
     pos = np.array(traj.positions)
     en = np.array(traj.energies)

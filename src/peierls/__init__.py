@@ -25,17 +25,14 @@ from .dynamics import (
 )
 from .kink import (
     KinkConfiguration,
-    KinkObservables,
     KinkTrajectory,
     bond_order,
     difference_operator,
-    difference_operator_literal,
-    kink_bonds,
-    kink_energy,
     kink_matrix,
     kink_position,
     kink_spectrum,
     propagate_kink,
+    sublattice_svd,
     zero_subspace,
 )
 from .landscape import (

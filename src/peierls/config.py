@@ -71,14 +71,11 @@ class RunConfig:
     kink_dt: float = 0.5
     kink_steps: int = 400
     anchor_offset: int = -4
-    z_motion: str = "frozen"
     hysteresis: float = 0.25
 
     def __post_init__(self) -> None:
         if self.phonon_norm not in ("per-cell", "per-site"):
             raise ConfigError(f"phonon_norm must be 'per-cell' or 'per-site', got {self.phonon_norm!r}")
-        if self.z_motion not in ("frozen", "lowest"):
-            raise ConfigError(f"z_motion must be 'frozen' or 'lowest', got {self.z_motion!r}")
         for name in ("resolution", "workers", "steps", "kink_steps", "seed_angles"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -86,6 +83,11 @@ class RunConfig:
             raise ConfigError(f"n_sites: kink chain needs at least 3 sites, got {self.n_sites}")
         if not 0 <= self.kink_site <= self.n_sites - 2:
             raise ConfigError(f"kink_site: kink site {self.kink_site} outside [0, {self.n_sites - 2}]")
+        if not 0 <= self.kink_site + self.anchor_offset <= self.n_sites - 2:
+            raise ConfigError(f"anchor_offset: initial anchor {self.kink_site} + {self.anchor_offset} "
+                              f"outside [0, {self.n_sites - 2}]")
+        if not (math.isfinite(self.hysteresis) and self.hysteresis >= 0):
+            raise ConfigError(f"hysteresis must be finite and >= 0, got {self.hysteresis}")
         for name in ("dt", "kink_dt"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -121,7 +123,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _BOOL_FIELDS = {"strict_paper"}
 _INT_FIELDS = {"big_l", "resolution", "workers", "steps", "n_sites", "kink_site",
                "kink_steps", "anchor_offset", "seed_angles"}
-_STR_FIELDS = {"phonon_norm", "z_motion"}
+_STR_FIELDS = {"phonon_norm"}
 _TUPLE_FIELDS = {"seed_rings"}
 
 

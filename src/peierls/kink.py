@@ -4,8 +4,11 @@ A kink at site n flips the staggering phase: z_j = (-)^j z up to site n
 and (-)^(j+1) z beyond.  Bond amplitudes follow from coherent-state
 averaging of the exponential hopping, which makes the wall bond exactly g
 and keeps the whole chain real.  The single-particle matrix is symmetric
-and tridiagonal with a zero diagonal, so eigensolves work on its
-off-diagonal vector and observables on nearest-neighbour links.  The
+and tridiagonal with a zero diagonal, so spectra come from its
+off-diagonal vector and observables from nearest-neighbour links.  Its
+bonds join even sites to odd ones only (chiral, or sublattice, symmetry),
+so one half-size SVD of the even-odd block gives every eigenpair as +-s;
+propagation rotates the orbitals' coefficients in that basis.  The
 transcription of the averaged kink Hamiltonian that appears with the
 omega_l = g - (c + (-)^l s) weights is retained as a flag-selectable
 cross-check variant; it does not agree with the mechanical averaging and
@@ -19,12 +22,11 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal, svd
 
 from .landscape import phonon_energy_total
 from .model import (
     CoherentAmplitude,
-    HoppingChain,
     ModelParams,
     effective_coupling,
     state_location,
@@ -32,13 +34,10 @@ from .model import (
 
 __all__ = [
     "KinkConfiguration",
-    "KinkObservables",
-    "kink_bonds",
     "kink_matrix",
     "kink_spectrum",
-    "kink_energy",
+    "sublattice_svd",
     "difference_operator",
-    "difference_operator_literal",
     "zero_subspace",
     "bond_order",
     "kink_position",
@@ -70,13 +69,6 @@ class KinkConfiguration:
         return (-1.0) ** (j + (j > self.n)) * complex(self.z.re, self.z.im)
 
 
-@dataclass(frozen=True)
-class KinkObservables:
-    bond_order: np.ndarray
-    kink_position: float
-    energy: float
-
-
 def _omega(params: ModelParams, loc: float, ell: int | np.ndarray) -> float | np.ndarray:
     g = effective_coupling(params)
     c, s = g * math.cosh(loc), g * math.sinh(loc)
@@ -103,11 +95,6 @@ def _offdiagonal(params: ModelParams, config: KinkConfiguration, variant: KinkVa
     return off
 
 
-def kink_bonds(params: ModelParams, config: KinkConfiguration) -> HoppingChain:
-    """Open chain of N-1 bonds A_j from direct averaging; the wall bond is g."""
-    return HoppingChain(bonds=tuple((-_offdiagonal(params, config)).tolist()), boundary="open")
-
-
 def kink_matrix(params: ModelParams, config: KinkConfiguration, variant: KinkVariant = "averaged") -> np.ndarray:
     """Dense single-particle matrix of the kink Hamiltonian (see `_offdiagonal`)."""
     off = _offdiagonal(params, config, variant)
@@ -129,9 +116,21 @@ def kink_spectrum(
     return evals, float(evals[0]), in_gap
 
 
-def kink_energy(params: ModelParams, z: CoherentAmplitude, n: int, n_sites: int) -> float:
-    """Lowest eigenvalue of the kink Hamiltonian as a function of (z, n)."""
-    return kink_spectrum(params, KinkConfiguration(n=n, z=z, n_sites=n_sites))[1]
+def sublattice_svd(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, s, V) with C = W diag(s) V^T for the zero-diagonal tridiagonal h with off-diagonal `off`.
+
+    With even sites A and odd sites B, h = [[0, C], [C^T, 0]], where C is the
+    ceil(N/2) x floor(N/2) lower-bidiagonal block C[i, i] = off[2i], C[i+1, i] = off[2i+1].
+    Each triple gives the eigenpairs (+-s_k, (w_k, +-v_k) / sqrt 2); for odd N the
+    last column of the square W is the zero mode (w, 0).  The (w_k, -v_k) / sqrt 2
+    are the filled sea.
+    """
+    n_sites = len(off) + 1
+    block = np.zeros(((n_sites + 1) // 2, n_sites // 2))
+    bond = np.arange(n_sites - 1)  # bond j joins sites j and j + 1
+    block[(bond + 1) // 2, bond // 2] = off
+    w, s, vt = svd(block)
+    return w, s, vt.T
 
 
 def difference_operator(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
@@ -146,14 +145,6 @@ def difference_operator(params: ModelParams, config: KinkConfiguration) -> np.nd
     d[n + 1, n + 2] = d[n + 2, n + 1] = om
     d[n, n + 1] = d[n + 1, n] = -om
     return d
-
-
-def difference_operator_literal(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
-    """Literal matrix difference H'_{n+1} - H'_n from direct averaging."""
-    if config.n > config.n_sites - 3:
-        raise ValueError("need n <= N - 3 for the difference operator")
-    up = KinkConfiguration(n=config.n + 1, z=config.z, n_sites=config.n_sites)
-    return kink_matrix(params, up) - kink_matrix(params, config)
 
 
 def zero_subspace(
@@ -179,7 +170,10 @@ def bond_order(occupied: np.ndarray) -> np.ndarray:
     link sum Re sum_m conj(phi_{j,m}) phi_{j+1,m} is the superdiagonal of the
     coherence matrix, read without forming it.
     """
-    link = np.einsum("jm,jm->j", occupied[:-1].conj(), occupied[1:]).real
+    flat = np.ascontiguousarray(occupied)
+    if np.iscomplexobj(flat):  # Re conj(x) y sums the products of the float parts
+        flat = flat.view(np.float64)
+    link = np.einsum("jm,jm->j", flat[:-1], flat[1:])
     return (-1.0) ** np.arange(len(link)) * link
 
 
@@ -222,7 +216,6 @@ class KinkTrajectory:
     positions: list[float]
     energies: list[float]
     anchors: list[int]
-    termination: str = "completed"
     orthonormality_error: float = 0.0
 
 
@@ -234,104 +227,81 @@ def propagate_kink(
     steps: int,
     n_sites: int = 200,
     initial_anchor_offset: int = 0,
-    z_functional: Literal["lowest", "frozen"] = "lowest",
     hysteresis: float = 0.25,
 ) -> KinkTrajectory:
-    """Operator-splitting evolution of the kink state.
+    """Exact evolution of the occupied orbitals under the kink chain anchored at n.
 
-    Per step: (a) one canonical-flow step of z under the lowest kink
-    eigenvalue (finite-difference gradient, energy-conserving convention),
-    or no z motion with z_functional="frozen"; (b) exact single-particle
-    evolution of the occupied orbitals under the current kink Hamiltonian
-    by its step propagator, built from the tridiagonal eigendecomposition
-    and cached under (n, z); (c) observables from the nearest-neighbour
-    links; (d) re-anchoring of n when the bond-order wall crosses
-    n +- (1 + hysteresis).
+    z stays at z0.  Per anchor, one `sublattice_svd` C = W diag(s) V^T
+    diagonalises the chain, and the orbitals are kept as the coefficients
+    (a, b) = (W^T phi_A, V^T phi_B) of their even and odd sites.  A step
+    rotates each pair, a <- cos(s dt) a - i sin(s dt) b and
+    b <- cos(s dt) b - i sin(s dt) a (the zero-mode row of a, odd N, stays),
+    and phi_A = W a, phi_B = V b are two real products over the float view.
+    n re-anchors when the bond-order wall crosses n +- (1 + hysteresis), and
+    the coefficients are projected onto the new anchor's factors.
 
-    The initial orbitals are the half-filled ground state of the kink
-    Hamiltonian anchored at n0 + initial_anchor_offset, which lets a
+    The initial orbitals are the half-filled ground state (w_k, -v_k)/sqrt 2
+    of the chain anchored at n0 + initial_anchor_offset, which lets a
     deliberately displaced wall evolve under the n0 chain.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if z_functional not in ("lowest", "frozen"):
-        raise ValueError(f"z_functional must be 'lowest' or 'frozen', got {z_functional!r}")
     n = n0
-    z = z0
-    n_filled = n_sites // 2
-    zeros = np.zeros(n_sites)
+    n_filled = n_sites // 2  # = floor(N/2), the rows of V
+    # orbitals in site order: even rows phi_A, odd rows phi_B
+    occupied = np.zeros((n_sites, n_filled), dtype=complex)
+    flat = occupied.view(np.float64)
 
-    # step propagator U exp(-i eps dt) U^T of the anchored Hamiltonian, its eigenvectors
-    # U and its staggered off-diagonal 2 (-)^j h[j, j+1], cached under (n, z)
-    cache_key: tuple[int, float, float] | None = None
-    propagator = energy_weights = vectors = None
-
-    def anchored(n_anchor: int, zc: CoherentAmplitude):
-        nonlocal cache_key, propagator, energy_weights, vectors
-        key = (n_anchor, zc.re, zc.im)
-        if key != cache_key:
-            off = _offdiagonal(params, KinkConfiguration(n=n_anchor, z=zc, n_sites=n_sites))
-            ev, vectors = eigh_tridiagonal(zeros, off)
-            propagator = (vectors * np.exp(-1j * ev * dt)) @ vectors.T
-            energy_weights = 2.0 * (-1.0) ** np.arange(n_sites - 1) * off
-            cache_key = key
-        return propagator, energy_weights
-
-    anchored(n, z)  # checks n0 as given, before the anchor offset is added
-    vecs = vectors
-    if initial_anchor_offset:
-        init_cfg = KinkConfiguration(n=n0 + initial_anchor_offset, z=z, n_sites=n_sites)
-        _, vecs = eigh_tridiagonal(zeros, _offdiagonal(params, init_cfg))
-    occupied = vecs[:, :n_filled].astype(complex)
-
-    def observables(zc: CoherentAmplitude) -> KinkObservables:
-        order = bond_order(occupied)
+    def factors(n_anchor: int):
+        off = _offdiagonal(params, KinkConfiguration(n=n_anchor, z=z0, n_sites=n_sites))
         # E_el = 2 sum_j h[j, j+1] Re<f+_{j+1} f_j>, and that link is (-)^j B_j
-        _, weights = anchored(n, zc)
-        electronic = float(weights @ order)
-        return KinkObservables(
-            bond_order=order,
-            kink_position=kink_position(order),
-            energy=electronic + phonon_energy_total(zc, n_sites / 2),  # n_sites / 2 cells
-        )
+        return (*sublattice_svd(off), 2.0 * (-1.0) ** np.arange(n_sites - 1) * off)
+
+    w, s, v, weights = factors(n)  # checks n0 as given, before the anchor offset is added
+    w0, _, v0, _ = factors(n + initial_anchor_offset) if initial_anchor_offset else (w, s, v, weights)
+    flat[0::2, 0::2] = w0[:, :n_filled] / math.sqrt(2.0)  # real parts
+    flat[1::2, 0::2] = -v0 / math.sqrt(2.0)
+    phonon = phonon_energy_total(z0, n_sites / 2)  # n_sites / 2 cells
 
     traj = KinkTrajectory(times=[], z_values=[], positions=[], energies=[], anchors=[])
-    t = 0.0
-    obs = observables(z)
-    traj.times.append(t)
-    traj.z_values.append(z)
-    traj.positions.append(obs.kink_position)
-    traj.energies.append(obs.energy)
-    traj.anchors.append(n)
 
-    fd = 1e-6
-
-    def z_velocity(zc: CoherentAmplitude) -> complex:
-        gre = (kink_energy(params, CoherentAmplitude(zc.re + fd, zc.im), n, n_sites)
-               - kink_energy(params, CoherentAmplitude(zc.re - fd, zc.im), n, n_sites)) / (2 * fd)
-        gim = (kink_energy(params, CoherentAmplitude(zc.re, zc.im + fd), n, n_sites)
-               - kink_energy(params, CoherentAmplitude(zc.re, zc.im - fd), n, n_sites)) / (2 * fd)
-        return -1j * 0.5 * complex(gre, gim)
-
-    for _ in range(steps):
-        if z_functional == "lowest":
-            vel = z_velocity(z)
-            z = CoherentAmplitude(z.re + dt * vel.real, z.im + dt * vel.imag)
-            if not (math.isfinite(z.re) and math.isfinite(z.im)):
-                traj.termination = "non-finite"
-                break
-        step, _ = anchored(n, z)
-        occupied = step @ occupied
-        t += dt
-        obs = observables(z)
-        if obs.kink_position >= n + 1 + hysteresis and n < n_sites - 2:
-            n += 1
-        elif obs.kink_position <= n - hysteresis and n > 0:
-            n -= 1
+    def record(t: float) -> float:
+        order = bond_order(occupied)
         traj.times.append(t)
-        traj.z_values.append(z)
-        traj.positions.append(obs.kink_position)
-        traj.energies.append(obs.energy)
+        traj.z_values.append(z0)
+        traj.positions.append(kink_position(order))
+        traj.energies.append(float(weights @ order) + phonon)
+        return traj.positions[-1]
+
+    record(0.0)
+    traj.anchors.append(n)
+    t = 0.0
+    anchor = None
+    mix = np.empty((2, n_filled, n_filled), dtype=complex)
+    for _ in range(steps):
+        if anchor != n:  # first step, or the wall hopped: project onto this anchor
+            if anchor is not None:
+                w, s, v, weights = factors(n)
+            anchor = n
+            a = (w.T @ flat[0::2]).view(complex)
+            b = (v.T @ flat[1::2]).view(complex)
+            paired = a[:n_filled]  # the zero-mode row of an odd chain stands still
+            cos, rot = np.cos(s * dt)[:, None], -1j * np.sin(s * dt)[:, None]
+        # (a, b) <- (cos a + rot b, cos b + rot a), in place
+        np.multiply(rot, b, out=mix[0])
+        np.multiply(rot, paired, out=mix[1])
+        paired *= cos
+        paired += mix[0]
+        b *= cos
+        b += mix[1]
+        np.matmul(w, a.view(np.float64), out=flat[0::2])
+        np.matmul(v, b.view(np.float64), out=flat[1::2])
+        t += dt
+        position = record(t)
+        if position >= n + 1 + hysteresis and n < n_sites - 2:
+            n += 1
+        elif position <= n - hysteresis and n > 0:
+            n -= 1
         traj.anchors.append(n)
     gram = occupied.conj().T @ occupied
     traj.orthonormality_error = float(np.linalg.norm(gram - np.eye(n_filled)))

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .algebra import deformed_mode_matrix, lambda_discrepancy, mode_eigenvalues, mode_energies, xi
-from .kink import KinkConfiguration, difference_operator, kink_spectrum, zero_subspace, _omega
+from .kink import KinkConfiguration, difference_operator, kink_spectrum, sublattice_svd, zero_subspace, _offdiagonal, _omega
 from .landscape import (
     _electronic_slopes,
     electronic_density_continuum,
@@ -203,6 +203,27 @@ def _check_curvature(report: ValidationReport) -> None:
     report.add("landscape-curvature", worst, 1e-6, "analytic d2E_el/dloc2 vs central difference of dE_el/dloc")
 
 
+def _wall_decay(params: ModelParams, config: KinkConfiguration, span: int = 40) -> tuple[float, float]:
+    """Fitted per-site decay of the wall state left and right of the wall bond (n, n+1).
+
+    The smallest singular pair (w, v) of the even-odd block holds the wall state on one
+    sublattice, where the E = 0 transfer matrix gives psi_{j+2} = -(A_w / A_s) psi_j,
+    a decay of exp(-loc) per site.  Each side is a log-linear fit over 1 < |j - n - 1/2| <= span.
+    """
+    w, s, v = sublattice_svd(_offdiagonal(params, config))
+    psi = np.zeros(config.n_sites)
+    psi[0::2], psi[1::2] = w[:, len(s) - 1], v[:, -1]
+    n = config.n
+    wall = n if abs(psi[n]) > abs(psi[n + 1]) else n + 1
+    j = np.arange(wall % 2, config.n_sites, 2)
+    dist = np.abs(j - n - 0.5)
+    decays = []
+    for side in (j < n, j > n + 1):
+        fit = side & (dist > 1) & (dist <= span)
+        decays.append(-float(np.polyfit(dist[fit], np.log(np.abs(psi[j[fit]])), 1)[0]))
+    return decays[0], decays[1]
+
+
 def _check_kink(report: ValidationReport, params: ModelParams) -> None:
     n_sites = 200
     cfg0 = KinkConfiguration(n=n_sites // 2, z=CoherentAmplitude(0.0, 0.0), n_sites=n_sites)
@@ -224,6 +245,8 @@ def _check_kink(report: ValidationReport, params: ModelParams) -> None:
         overlap = abs(float(basis[0] @ (np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0))))
         kernel_err = abs(1.0 - overlap)
     report.add("kink-zero-subspace", kernel_err, 1e-10, "one-dimensional kernel along (1, 0, 1)/sqrt(2)")
+    decay_err = max(abs(d - loc) for d in _wall_decay(params, cfg))
+    report.add("kink-wall-decay", decay_err, 1e-6, "wall state decays as exp(-loc |j - n|), N = 200")
 
 
 def _check_proportionality(report: ValidationReport) -> None:

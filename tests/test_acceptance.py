@@ -308,7 +308,7 @@ def test_criterion_8_kink():
         else math.inf
     )
 
-    unit = propagate_kink(p, z, 20, dt=0.5, steps=1000, n_sites=40, z_functional="frozen")
+    unit = propagate_kink(p, z, 20, dt=0.5, steps=1000, n_sites=40)
     unitarity = unit.orthonormality_error
 
     traj = propagate_kink(
@@ -319,7 +319,6 @@ def test_criterion_8_kink():
         cfg.kink_steps,
         n_sites=cfg.n_sites,
         initial_anchor_offset=cfg.anchor_offset,
-        z_functional=cfg.z_motion,
         hysteresis=cfg.hysteresis,
     )
     positions = np.array(traj.positions)

@@ -94,6 +94,9 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         ("dynamics", "dt=-1", "dt must be positive"),
         ("kink-propagate", "kink_dt=0", "dt must be positive"),
         ("dynamics", "x0=nan", "must be finite"),
+        ("kink-propagate", "hysteresis=nan", "hysteresis must be finite and >= 0"),
+        ("kink-propagate", "hysteresis=-1", "hysteresis must be finite and >= 0"),
+        ("kink-propagate", "anchor_offset=500", "anchor_offset: initial anchor 100 + 500 outside"),
     ],
 )
 def test_cli_out_of_range_input_exits_2(tmp_path, capsys, command, setting, message):

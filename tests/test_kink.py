@@ -5,18 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from peierls.config import load_config, reference_config_path
+from peierls.config import ConfigError, load_config, reference_config_path
 from peierls.kink import (
     KinkConfiguration,
     bond_order,
     difference_operator,
-    difference_operator_literal,
-    kink_bonds,
-    kink_energy,
     kink_matrix,
     kink_position,
     kink_spectrum,
     propagate_kink,
+    sublattice_svd,
     zero_subspace,
 )
 from peierls.model import CoherentAmplitude, ModelParams, effective_coupling, staggered_bonds
@@ -33,6 +31,11 @@ def reference_params():
 def z_min():
     cfg = reference_config()
     return CoherentAmplitude(cfg.z_re, cfg.z_im)
+
+
+def kink_bonds(p, cfg):
+    """Bonds A_j = -h[j, j+1] of the averaged kink chain."""
+    return -np.diag(kink_matrix(p, cfg), 1)
 
 
 def test_configuration_validation():
@@ -56,18 +59,16 @@ def test_amplitudes_wall_signature():
 def test_zero_amplitude_bonds_uniform():
     p = reference_params()
     cfg = KinkConfiguration(n=5, z=CoherentAmplitude(0.0, 0.0), n_sites=12)
-    chain = kink_bonds(p, cfg)
+    bonds = kink_bonds(p, cfg)
     g = effective_coupling(p)
-    assert chain.boundary == "open"
-    assert len(chain.bonds) == 11
-    assert all(b == pytest.approx(g, rel=1e-15) for b in chain.bonds)
+    assert len(bonds) == 11
+    assert all(b == pytest.approx(g, rel=1e-15) for b in bonds)
 
 
 def test_wall_bond_exactly_g():
     p = reference_params()
     cfg = KinkConfiguration(n=7, z=z_min(), n_sites=20)
-    chain = kink_bonds(p, cfg)
-    assert chain.bonds[7] == pytest.approx(effective_coupling(p), rel=1e-15)
+    assert kink_bonds(p, cfg)[7] == pytest.approx(effective_coupling(p), rel=1e-15)
 
 
 def test_bonds_match_staggering_on_both_sides():
@@ -75,7 +76,7 @@ def test_bonds_match_staggering_on_both_sides():
     z = z_min()
     n = 8
     cfg = KinkConfiguration(n=n, z=z, n_sites=24)
-    kbonds = kink_bonds(p, cfg).bonds
+    kbonds = kink_bonds(p, cfg)
     ring = staggered_bonds(p, z).bonds
     anti = staggered_bonds(p, -z).bonds
     for j in range(n):
@@ -102,6 +103,54 @@ def test_spectrum_chiral_symmetry():
     assert np.max(np.abs(evals + evals[::-1])) < 1e-10
 
 
+@pytest.mark.parametrize("n_sites", [60, 61, 200, 201])
+def test_sublattice_svd_gives_the_spectrum(n_sites):
+    # +-s, plus the zero mode of an odd chain, are the tridiagonal eigenvalues
+    p = reference_params()
+    cfg = KinkConfiguration(n=n_sites // 2, z=z_min(), n_sites=n_sites)
+    h = kink_matrix(p, cfg)
+    w, s, v = sublattice_svd(np.diag(h, 1))
+    assert w.shape == ((n_sites + 1) // 2,) * 2 and v.shape == (n_sites // 2,) * 2
+    chiral = np.sort(np.concatenate([-s, s, np.zeros(n_sites % 2)]))
+    assert np.max(np.abs(chiral - kink_spectrum(p, cfg)[0])) < 1e-13
+    # each singular triple is the eigenpair (+-s, (w, +-v) / sqrt 2) of h
+    for k in (0, len(s) - 1):
+        for sign in (1.0, -1.0):
+            vec = np.zeros(n_sites)
+            vec[0::2], vec[1::2] = w[:, k], sign * v[:, k]
+            assert np.max(np.abs(h @ vec - sign * s[k] * vec)) < 1e-13
+    if n_sites % 2:
+        zero = np.zeros(n_sites)
+        zero[0::2] = w[:, -1]
+        assert np.max(np.abs(h @ zero)) < 1e-13
+
+
+@pytest.mark.parametrize("n_sites", [60, 61])
+def test_sublattice_ground_state_is_the_filled_sea(n_sites):
+    p = reference_params()
+    cfg = KinkConfiguration(n=n_sites // 2, z=z_min(), n_sites=n_sites)
+    h = kink_matrix(p, cfg)
+    w, s, v = sublattice_svd(np.diag(h, 1))
+    occ = np.zeros((n_sites, n_sites // 2))
+    occ[0::2], occ[1::2] = w[:, : n_sites // 2] / math.sqrt(2.0), -v / math.sqrt(2.0)
+    assert np.max(np.abs(occ.T @ occ - np.eye(n_sites // 2))) < 1e-13
+    evals = kink_spectrum(p, cfg)[0]
+    assert np.trace(occ.T @ h @ occ) == pytest.approx(np.sum(evals[: n_sites // 2]), rel=1e-13)
+
+
+@pytest.mark.parametrize("n_sites, n", [(200, 100), (200, 101), (201, 100), (400, 150)])
+def test_wall_state_decays_at_the_localization_rate(n_sites, n):
+    # the E = 0 transfer matrix gives exp(-loc |j - n|) on the wall's sublattice
+    from peierls.model import state_location
+    from peierls.validate import _wall_decay
+
+    p = reference_params()
+    loc = state_location(p, z_min())
+    left, right = _wall_decay(p, KinkConfiguration(n=n, z=z_min(), n_sites=n_sites))
+    assert left == pytest.approx(loc, abs=1e-6)
+    assert right == pytest.approx(loc, abs=1e-6)
+
+
 def test_midgap_states_present():
     p = reference_params()
     cfg = KinkConfiguration(n=100, z=z_min(), n_sites=200)
@@ -112,8 +161,8 @@ def test_midgap_states_present():
 def test_energy_translation_invariance_in_bulk():
     p = reference_params()
     z = z_min()
-    e1 = kink_energy(p, z, 90, 200)
-    e2 = kink_energy(p, z, 110, 200)
+    e1 = kink_spectrum(p, KinkConfiguration(n=90, z=z, n_sites=200))[1]
+    e2 = kink_spectrum(p, KinkConfiguration(n=110, z=z, n_sites=200))[1]
     assert abs(e1 - e2) < 1e-3
 
 
@@ -148,7 +197,8 @@ def test_literal_difference_support():
     p = reference_params()
     n = 12
     cfg = KinkConfiguration(n=n, z=z_min(), n_sites=30)
-    d = difference_operator_literal(p, cfg)
+    up = KinkConfiguration(n=n + 1, z=z_min(), n_sites=30)
+    d = kink_matrix(p, up) - kink_matrix(p, cfg)
     nz = np.argwhere(np.abs(d) > 1e-14)
     # moving the wall by one site only changes bonds touching site n+1
     for i, j in nz:
@@ -200,7 +250,7 @@ def test_kink_position_tracks_anchor():
 
 def test_propagation_stationary_state():
     p = reference_params()
-    traj = propagate_kink(p, z_min(), 30, dt=0.5, steps=50, n_sites=60, z_functional="frozen")
+    traj = propagate_kink(p, z_min(), 30, dt=0.5, steps=50, n_sites=60)
     energies = np.array(traj.energies)
     positions = np.array(traj.positions)
     assert np.max(np.abs(energies - energies[0])) / abs(energies[0]) < 1e-6
@@ -214,9 +264,9 @@ def test_propagation_mirror_symmetry():
     # large hysteresis disables re-anchoring, whose thresholds are not
     # themselves mirror-symmetric about the wall bond
     a = propagate_kink(p, z_min(), n0, dt=0.5, steps=30, n_sites=n_sites,
-                       initial_anchor_offset=-2, z_functional="frozen", hysteresis=1e6)
+                       initial_anchor_offset=-2, hysteresis=1e6)
     b = propagate_kink(p, z_min(), n0 - 1, dt=0.5, steps=30, n_sites=n_sites,
-                       initial_anchor_offset=2, z_functional="frozen", hysteresis=1e6)
+                       initial_anchor_offset=2, hysteresis=1e6)
     bonds = n_sites - 1
     for pa, pb in zip(a.positions, b.positions):
         assert pa == pytest.approx((bonds - 1) - pb, abs=1e-6)
@@ -227,7 +277,7 @@ def test_initial_energy_is_filled_sea_plus_phonon():
     z = z_min()
     n_sites = 60
     traj = propagate_kink(p, z, 30, dt=0.5, steps=3, n_sites=n_sites,
-                          initial_anchor_offset=0, z_functional="frozen")
+                          initial_anchor_offset=0)
     evals, _, _ = kink_spectrum(p, KinkConfiguration(n=30, z=z, n_sites=n_sites))
     phonon = n_sites * (4.0 * z.re**2 + z.im**2 + 0.75)
     expected = float(np.sum(evals[: n_sites // 2])) + phonon
@@ -236,27 +286,28 @@ def test_initial_energy_is_filled_sea_plus_phonon():
 
 def test_offset_zero_reuses_the_anchor_decomposition(monkeypatch):
     # with no anchor offset the initial orbitals are the anchored chain's own
-    # ground state, so one eigensolve serves both until the wall hops
+    # ground state, so one SVD serves both until the wall hops
     import peierls.kink
 
     calls = []
-    solve = peierls.kink.eigh_tridiagonal
-    monkeypatch.setattr(peierls.kink, "eigh_tridiagonal", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    solve = peierls.kink.svd
+    monkeypatch.setattr(peierls.kink, "svd", lambda *a, **k: calls.append(1) or solve(*a, **k))
     traj = propagate_kink(reference_params(), z_min(), 30, dt=0.5, steps=10, n_sites=60,
-                          initial_anchor_offset=0, z_functional="frozen")
+                          initial_anchor_offset=0)
     assert set(traj.anchors) == {30}
     assert len(calls) == 1
 
 
-def test_unknown_z_functional_rejected():
-    with pytest.raises(ValueError, match="z_functional"):
-        propagate_kink(reference_params(), z_min(), 30, dt=0.5, steps=1, n_sites=60,
-                       z_functional="lowest-eigenvalue")
+def test_z_motion_is_not_a_config_field():
+    # z is frozen: driving it by the lowest eigenvalue did not conserve the
+    # reported energy, so the option that selected that mode is gone
+    with pytest.raises(ConfigError, match="unknown field 'z_motion'"):
+        load_config(reference_config_path("kink_dynamics"), overrides={"z_motion": "lowest"})
 
 
 def test_propagation_unitarity():
     p = reference_params()
-    traj = propagate_kink(p, z_min(), 20, dt=0.5, steps=1000, n_sites=40, z_functional="frozen")
+    traj = propagate_kink(p, z_min(), 20, dt=0.5, steps=1000, n_sites=40)
     assert traj.orthonormality_error < 1e-10
 
 
@@ -270,7 +321,6 @@ def test_shipped_initial_condition_advances():
         100,  # shortened run: the full shipped length is exercised in acceptance
         n_sites=cfg.n_sites,
         initial_anchor_offset=cfg.anchor_offset,
-        z_functional=cfg.z_motion,
         hysteresis=cfg.hysteresis,
     )
     positions = np.array(traj.positions)
