@@ -9,14 +9,12 @@ from .algebra import (
     mode_eigenvalues,
     mode_energies,
     paper_lambda,
-    q_bracket,
     xi,
 )
 from .config import ConfigError, RunConfig, load_config, reference_config_path
 from .dynamics import (
     PhaseState,
     Trajectory,
-    canonical_flow,
     fixed_point_branches,
     integrate,
     ode_rhs,
@@ -39,7 +37,6 @@ from .landscape import (
     CriticalPoint,
     DomainError,
     EnergyBreakdown,
-    domain_limit,
     electronic_density_continuum,
     electronic_density_modesum,
     find_critical_points,
@@ -59,6 +56,6 @@ from .model import (
     staggered_ring_bands,
     state_location,
 )
-from .special import de_dm, elliptic_e, elliptic_k, hyp_e, hyp_f
+from .special import elliptic_e, elliptic_k
 
 __version__ = "1.0.0"

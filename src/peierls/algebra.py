@@ -23,7 +23,6 @@ import numpy as np
 from .model import CoherentAmplitude, ModelParams, effective_coupling, state_location
 
 __all__ = [
-    "q_bracket",
     "xi",
     "ModeEnergies",
     "mode_energies",
@@ -37,15 +36,6 @@ __all__ = [
 _K3 = np.diag([0.5, -0.5])
 _KP = np.array([[0.0, 1.0], [0.0, 0.0]])
 _KM = _KP.T
-
-
-def q_bracket(x: float, q: float) -> float:
-    """q-number [x]_q = (q^x - q^-x)/(q - q^-1); -> x as q -> 1."""
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
-    if abs(q - 1.0) < 1e-8:
-        return float(x)
-    return (q**x - q**-x) / (q - 1.0 / q)
 
 
 def xi(q: float, w: float) -> float:

@@ -150,7 +150,6 @@ def cmd_dynamics(config: RunConfig, args: argparse.Namespace) -> int:
         PhaseState(config.x0, config.v0),
         config.dt,
         config.steps,
-        strict_paper=config.strict_paper,
         settle_tol=config.settle_tol if config.settle_tol > 0 else None,
     )
     if traj.termination == "non-finite":

@@ -43,7 +43,6 @@ class RunConfig:
     w: float = 0.0
     big_l: int = 16
     phonon_norm: str = "per-cell"
-    strict_paper: bool = False
     # state
     z_re: float = 0.0
     z_im: float = 0.0
@@ -88,12 +87,16 @@ class RunConfig:
                               f"outside [0, {self.n_sites - 2}]")
         if not (math.isfinite(self.hysteresis) and self.hysteresis >= 0):
             raise ConfigError(f"hysteresis must be finite and >= 0, got {self.hysteresis}")
-        for name in ("dt", "kink_dt"):
+        for name in ("dt", "kink_dt", "newton_tol", "max_step"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("x0", "v0"):
+        if not (math.isfinite(self.settle_tol) and self.settle_tol >= 0):
+            raise ConfigError(f"settle_tol must be finite and >= 0, got {self.settle_tol}")
+        for name in ("z_re", "z_im", "x0", "v0", "re_min", "re_max", "im_min", "im_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(math.isfinite(r) and r >= 0 for r in self.seed_rings):
+            raise ConfigError(f"seed_rings must be finite and >= 0, got {self.seed_rings}")
         try:
             self.model_params()
         except ValueError as exc:
@@ -119,30 +122,21 @@ class RunConfig:
         return out
 
 
+# field name -> its annotation, a string under postponed evaluation
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_BOOL_FIELDS = {"strict_paper"}
-_INT_FIELDS = {"big_l", "resolution", "workers", "steps", "n_sites", "kink_site",
-               "kink_steps", "anchor_offset", "seed_angles"}
-_STR_FIELDS = {"phonon_norm"}
-_TUPLE_FIELDS = {"seed_rings"}
+_PARSERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "tuple[float, ...]": lambda raw: tuple(float(part) for part in raw.split(",") if part.strip()),
+}
 
 
 def _coerce(key: str, raw: str, where: str) -> Any:
-    raw = raw.strip()
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"{where}: unknown field {key!r}")
     try:
-        if key in _BOOL_FIELDS:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"expected a boolean, got {raw!r}")
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _STR_FIELDS:
-            return raw
-        if key in _TUPLE_FIELDS:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
-        return float(raw)
+        return _PARSERS[_FIELD_TYPES[key]](raw.strip())
     except ValueError as exc:
         raise ConfigError(f"{where}: field {key!r}: {exc}") from exc
 
@@ -163,8 +157,6 @@ def parse_config_file(path: str | Path) -> dict[str, Any]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
         values[key] = _coerce(key, raw, f"{path}:{lineno}")
     return values
 
@@ -175,8 +167,6 @@ def _env_overrides(environ: dict[str, str]) -> dict[str, Any]:
         if not key.startswith(ENV_PREFIX):
             continue
         field = key[len(ENV_PREFIX):].lower()
-        if field not in _FIELD_TYPES:
-            raise ConfigError(f"environment variable {key}: unknown field {field!r}")
         values[field] = _coerce(field, raw, f"environment variable {key}")
     return values
 

@@ -5,19 +5,18 @@ equation of motion along x = p,
 
     x'' = (x - P)(1 - P_x) - x' P_x ,
 
-integrated by classical fixed-step RK4.  By default the kernel argument
-generalizes to sqrt(2)*(zeta*x + kappa*p); `strict_paper=True` pins
-zeta = kappa = 1, which is the form the kernel was originally written in.
+integrated by classical fixed-step RK4.  The kernel is the loc-slope of
+the landscape's continuum electronic density at loc = sqrt(2)*(zeta*x +
+kappa*p), so the oscillator and the landscape describe one model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
 
-from .landscape import DomainError, PhononNorm, _electronic_slopes, total_gradient
-from .model import CoherentAmplitude, ModelParams
+from .landscape import DomainError, _electronic_slopes
+from .model import ModelParams
 
 __all__ = [
     "PhaseState",
@@ -27,7 +26,6 @@ __all__ = [
     "ode_rhs",
     "fixed_point_branches",
     "integrate",
-    "canonical_flow",
 ]
 
 
@@ -51,49 +49,47 @@ class Trajectory:
         return self.states[-1]
 
 
-def _kernel(params: ModelParams, x: float, p: float, strict_paper: bool) -> tuple[float, float]:
+def _kernel(params: ModelParams, x: float, p: float) -> tuple[float, float]:
     """P(x, p) and its slope dP/dx at fixed p from one `landscape._electronic_slopes` call."""
-    zeta, kappa = (1.0, 1.0) if strict_paper else (params.zeta, params.kappa)
+    zeta, kappa = params.zeta, params.kappa
     d1, d2 = _electronic_slopes(params, math.sqrt(2.0) * (zeta * x + kappa * p))
     # du/dx = sqrt(2) zeta; with zeta = 0 P does not depend on x (and d2 may be -inf)
     return -(2.0 * math.sqrt(2.0) / math.pi) * d1, (-(4.0 * zeta / math.pi) * d2 if zeta else 0.0)
 
 
-def script_p(params: ModelParams, x: float, p: float, strict_paper: bool = False) -> float:
+def script_p(params: ModelParams, x: float, p: float) -> float:
     """The drive kernel P(x, p) = -(2*sqrt(2)/pi) * dE_el/d(loc) at loc = u.
 
     u = sqrt(2)*(zeta*x + kappa*p) and dE_el/d(loc) is the slope of the
-    continuum electronic density (`landscape.d_electronic_d_loc`), which
+    continuum electronic density (`landscape._electronic_slopes`), which
     raises `DomainError` where m = 1 - xi*tanh(u)^2 leaves [-1, 1].  In the
     hypergeometric normalization this is the originally written form
     (4*sqrt(2)*g/pi) * sinh(u)/(xi*(q+1/q)) * (E(m) - xi*(E(m)-F(m))/(m*cosh(u)^2)).
     """
-    return _kernel(params, x, p, strict_paper)[0]
+    return _kernel(params, x, p)[0]
 
 
-def script_p_x(params: ModelParams, x: float, p: float, strict_paper: bool = False) -> float:
+def script_p_x(params: ModelParams, x: float, p: float) -> float:
     """Partial dP/dx at fixed p, -(4 zeta/pi) d2E_el/d(loc)2 at loc = u; +inf at u = 0."""
-    return _kernel(params, x, p, strict_paper)[1]
+    return _kernel(params, x, p)[1]
 
 
-def ode_rhs(params: ModelParams, state: PhaseState, strict_paper: bool = False) -> tuple[float, float]:
+def ode_rhs(params: ModelParams, state: PhaseState) -> tuple[float, float]:
     """(dx/dt, dv/dt) of the restricted oscillator, with P evaluated at p = x."""
     x, v = state.x, state.v
-    pval, px = _kernel(params, x, x, strict_paper)
+    pval, px = _kernel(params, x, x)
     if math.isinf(px):  # u = 0: the cusp's log singularity is integrable; a stage sample takes slope 0 there
         px = 0.0
     return v, (x - pval) * (1.0 - px) - v * px
 
 
-def fixed_point_branches(
-    params: ModelParams, x: float, tol: float = 1e-8, strict_paper: bool = False
-) -> tuple[bool, bool]:
+def fixed_point_branches(params: ModelParams, x: float, tol: float = 1e-8) -> tuple[bool, bool]:
     """Which stationarity branch a v = 0 fixed point satisfies.
 
     Returns (x equals the kernel value, kernel slope equals one); a point
     with both False is not a fixed point of the restricted oscillator.
     """
-    pval, px = _kernel(params, x, x, strict_paper)
+    pval, px = _kernel(params, x, x)
     return abs(x - pval) < tol, abs(px - 1.0) < tol
 
 
@@ -102,7 +98,6 @@ def integrate(
     initial: PhaseState,
     dt: float,
     steps: int,
-    strict_paper: bool = False,
     settle_tol: float | None = None,
 ) -> Trajectory:
     """Fixed-step RK4 trajectory of the restricted equation of motion.
@@ -118,10 +113,10 @@ def integrate(
     termination = "completed"
     for _ in range(steps):
         try:
-            k1x, k1v = ode_rhs(params, PhaseState(x, v, t), strict_paper)
-            k2x, k2v = ode_rhs(params, PhaseState(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v, t), strict_paper)
-            k3x, k3v = ode_rhs(params, PhaseState(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v, t), strict_paper)
-            k4x, k4v = ode_rhs(params, PhaseState(x + dt * k3x, v + dt * k3v, t), strict_paper)
+            k1x, k1v = ode_rhs(params, PhaseState(x, v, t))
+            k2x, k2v = ode_rhs(params, PhaseState(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v, t))
+            k3x, k3v = ode_rhs(params, PhaseState(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v, t))
+            k4x, k4v = ode_rhs(params, PhaseState(x + dt * k3x, v + dt * k3v, t))
         except DomainError:
             termination = "domain-exit"
             break
@@ -136,30 +131,3 @@ def integrate(
             termination = "settled"
             break
     return Trajectory(states=states, params=params, method="rk4", dt=dt, termination=termination)
-
-
-FlowConvention = Literal["hamiltonian", "gradient"]
-
-
-def canonical_flow(
-    params: ModelParams,
-    z: CoherentAmplitude,
-    energy: Callable[[CoherentAmplitude], float] | None = None,
-    convention: FlowConvention = "hamiltonian",
-    phonon_norm: PhononNorm = "per-cell",
-) -> complex:
-    """Velocity dz/dt from the Wirtinger derivative of the energy functional.
-
-    With the default ground-state functional the gradient is analytic;
-    a custom `energy` callable is differentiated by central differences.
-    "hamiltonian" returns -i dE/dzbar (energy-conserving); "gradient"
-    returns dE/dzbar verbatim.
-    """
-    if energy is None:
-        gre, gim = total_gradient(params, z, phonon_norm)
-    else:
-        h = 1e-6 * (1.0 + abs(z.re) + abs(z.im))
-        gre = (energy(CoherentAmplitude(z.re + h, z.im)) - energy(CoherentAmplitude(z.re - h, z.im))) / (2.0 * h)
-        gim = (energy(CoherentAmplitude(z.re, z.im + h)) - energy(CoherentAmplitude(z.re, z.im - h))) / (2.0 * h)
-    dz_dzbar = 0.5 * complex(gre, gim)
-    return -1j * dz_dzbar if convention == "hamiltonian" else dz_dzbar

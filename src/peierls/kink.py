@@ -8,18 +8,16 @@ and tridiagonal with a zero diagonal, so spectra come from its
 off-diagonal vector and observables from nearest-neighbour links.  Its
 bonds join even sites to odd ones only (chiral, or sublattice, symmetry),
 so one half-size SVD of the even-odd block gives every eigenpair as +-s;
-propagation rotates the orbitals' coefficients in that basis.  The
-transcription of the averaged kink Hamiltonian that appears with the
-omega_l = g - (c + (-)^l s) weights is retained as a flag-selectable
-cross-check variant; it does not agree with the mechanical averaging and
-is never the default.
+propagation rotates the orbitals' coefficients in that basis.  This is
+the SSH chain (Su, Schrieffer & Heeger, PRL 42, 1698, 1979).  The
+omega_l = g - (c + (-)^l s) weights survive only in the three-site
+difference operator and its zero subspace, which `validate` checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, svd
@@ -45,8 +43,6 @@ __all__ = [
     "KinkTrajectory",
 ]
 
-KinkVariant = Literal["averaged", "printed"]
-
 
 @dataclass(frozen=True)
 class KinkConfiguration:
@@ -69,47 +65,35 @@ class KinkConfiguration:
         return (-1.0) ** (j + (j > self.n)) * complex(self.z.re, self.z.im)
 
 
-def _omega(params: ModelParams, loc: float, ell: int | np.ndarray) -> float | np.ndarray:
+def _omega(params: ModelParams, loc: float, ell: int) -> float:
     g = effective_coupling(params)
     c, s = g * math.cosh(loc), g * math.sinh(loc)
     return g - (c + (-1.0) ** ell * s)
 
 
-def _offdiagonal(params: ModelParams, config: KinkConfiguration, variant: KinkVariant = "averaged") -> np.ndarray:
-    """Off-diagonal h[j, j+1] = h[j+1, j] of the kink matrix (its diagonal is zero).
-
-    "averaged": -A_j, with A_j = g exp(sqrt(2) Re[(zeta - i kappa)(z_{j+1} - z_j)])
-    the coherent-state average of the exponential hopping.
-    "printed": the omega-weighted transcription, kept for comparison only.
+def _offdiagonal(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
+    """Off-diagonal h[j, j+1] = h[j+1, j] of the kink matrix (its diagonal is zero):
+    -A_j, with A_j = g exp(sqrt(2) Re[(zeta - i kappa)(z_{j+1} - z_j)]) the
+    coherent-state average of the exponential hopping.
     """
-    if variant == "averaged":
-        dz = np.diff(config.amplitudes())
-        exponent = math.sqrt(2.0) * (params.zeta * dz.real + params.kappa * dz.imag)
-        return -effective_coupling(params) * np.exp(exponent)
-    loc = state_location(params, config.z)
-    j = np.arange(config.n_sites - 1)
-    off = _omega(params, loc, j)
-    off[config.n] += _omega(params, loc, config.n)
-    s = effective_coupling(params) * math.sinh(loc)
-    off[config.n + 1 :] -= 2.0 * s * (-1.0) ** j[config.n + 1 :]
-    return off
+    dz = np.diff(config.amplitudes())
+    exponent = math.sqrt(2.0) * (params.zeta * dz.real + params.kappa * dz.imag)
+    return -effective_coupling(params) * np.exp(exponent)
 
 
-def kink_matrix(params: ModelParams, config: KinkConfiguration, variant: KinkVariant = "averaged") -> np.ndarray:
+def kink_matrix(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
     """Dense single-particle matrix of the kink Hamiltonian (see `_offdiagonal`)."""
-    off = _offdiagonal(params, config, variant)
+    off = _offdiagonal(params, config)
     return np.diag(off, 1) + np.diag(off, -1)
 
 
-def kink_spectrum(
-    params: ModelParams, config: KinkConfiguration, variant: KinkVariant = "averaged"
-) -> tuple[np.ndarray, float, np.ndarray]:
+def kink_spectrum(params: ModelParams, config: KinkConfiguration) -> tuple[np.ndarray, float, np.ndarray]:
     """(sorted eigenvalues, lowest eigenvalue, in-gap flags).
 
     The gap diagnostic marks eigenvalues inside the bulk dimerization gap
     (-2g|sinh loc|, 2g|sinh loc|) of the corresponding uniform chain.
     """
-    evals = eigvalsh_tridiagonal(np.zeros(config.n_sites), _offdiagonal(params, config, variant))
+    evals = eigvalsh_tridiagonal(np.zeros(config.n_sites), _offdiagonal(params, config))
     loc = state_location(params, config.z)
     gap_edge = 2.0 * effective_coupling(params) * abs(math.sinh(loc))
     in_gap = np.abs(evals) < gap_edge - 1e-12

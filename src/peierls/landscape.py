@@ -33,10 +33,8 @@ __all__ = [
     "electronic_density_continuum",
     "electronic_prefactor",
     "elliptic_parameter",
-    "d_electronic_d_loc",
     "total_gradient",
     "electronic_density_modesum",
-    "domain_limit",
     "total_density",
     "landscape_grid",
     "find_critical_points",
@@ -70,6 +68,17 @@ class CriticalPoint:
 def phonon_energy_total(z: CoherentAmplitude, big_l: int) -> float:
     """Coherent-state phonon energy 2L(4 Re(z)^2 + Im(z)^2 + 3/4)."""
     return 2.0 * big_l * (4.0 * z.re * z.re + z.im * z.im + 0.75)
+
+
+def _phonon_scale(phonon_norm: PhononNorm) -> float:
+    """The phonon density is `phonon_energy_total` / L per unit cell, half that per site."""
+    return 1.0 if phonon_norm == "per-cell" else 0.5
+
+
+def _phonon_curvatures(phonon_norm: PhononNorm) -> tuple[float, float]:
+    """d2/d(Re z)2 and d2/d(Im z)2 of the phonon density: 16 and 4 per unit cell."""
+    scale = _phonon_scale(phonon_norm)
+    return 16.0 * scale, 4.0 * scale
 
 
 def electronic_prefactor(params: ModelParams, loc: float | np.ndarray) -> float | np.ndarray:
@@ -117,22 +126,17 @@ def _electronic_slopes(params: ModelParams, loc: float) -> tuple[float, float]:
     return -pref * math.sinh(loc) * (e - 2.0 * xq * e_m / (ch * ch)), d2
 
 
-def d_electronic_d_loc(params: ModelParams, loc: float) -> float:
-    """Analytic d/d(loc) of the continuum electronic density (see `_electronic_slopes`)."""
-    return _electronic_slopes(params, loc)[0]
-
-
 def _gradient_and_hessian(
     params: ModelParams, z: CoherentAmplitude, phonon_norm: PhononNorm
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of the total density w.r.t. (Re z, Im z) from one `_electronic_slopes`
     call: the phonon diagonal plus 8 d2E_el/d(loc)2 (zeta, kappa)^T (zeta, kappa)."""
-    scale, zeta, kappa = (1.0 if phonon_norm == "per-cell" else 0.5), params.zeta, params.kappa
+    (c_re, c_im), zeta, kappa = _phonon_curvatures(phonon_norm), params.zeta, params.kappa
     d1, d2 = _electronic_slopes(params, state_location(params, z))
     g = d1 * 2.0 * math.sqrt(2.0)
     c = 8.0 * d2 if zeta or kappa else 0.0  # with both 0, loc = 0 (d2 = -inf) at every z and drops out
-    grad = np.array([16.0 * scale * z.re + g * zeta, 4.0 * scale * z.im + g * kappa])
-    hess = [[16.0 * scale + c * zeta * zeta, c * zeta * kappa], [c * zeta * kappa, 4.0 * scale + c * kappa * kappa]]
+    grad = np.array([c_re * z.re + g * zeta, c_im * z.im + g * kappa])
+    hess = [[c_re + c * zeta * zeta, c * zeta * kappa], [c * zeta * kappa, c_im + c * kappa * kappa]]
     return grad, np.array(hess)
 
 
@@ -160,17 +164,8 @@ def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> flo
     return float(np.mean(mode_eigenvalues(deformed_mode_matrix(params, modes))[0]))
 
 
-def domain_limit(params: ModelParams) -> float:
-    """State-location bound where |m_q| reaches 1; inf when xi_q <= 2."""
-    xq = xi(params.q, params.w)
-    if xq <= 2.0:
-        return math.inf
-    return math.atanh(math.sqrt(2.0 / xq))
-
-
 def _phonon_density(params: ModelParams, z: CoherentAmplitude, phonon_norm: PhononNorm) -> float:
-    scale = 1.0 if phonon_norm == "per-cell" else 0.5
-    return scale * phonon_energy_total(z, params.big_l) / params.big_l
+    return _phonon_scale(phonon_norm) * phonon_energy_total(z, params.big_l) / params.big_l
 
 
 def total_density(
@@ -310,8 +305,8 @@ def find_critical_points(
         if np.isfinite(hess).all():
             eigs = np.linalg.eigvalsh(hess)
         else:  # loc = 0: -inf along (zeta, kappa), and across it only the phonons curve
-            zeta2, kappa2 = params.zeta**2, params.kappa**2
-            across = (16.0 * kappa2 + 4.0 * zeta2) / (zeta2 + kappa2) * (1.0 if phonon_norm == "per-cell" else 0.5)
+            (c_re, c_im), zeta2, kappa2 = _phonon_curvatures(phonon_norm), params.zeta**2, params.kappa**2
+            across = (c_re * kappa2 + c_im * zeta2) / (zeta2 + kappa2)
             eigs = np.array([-math.inf, across])
         found.append(
             CriticalPoint(

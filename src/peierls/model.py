@@ -42,6 +42,9 @@ class ModelParams:
     w: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("t", "zeta", "kappa", "q", "w"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t <= 0:
             raise ValueError(f"t must be positive, got {self.t}")
         if self.q <= 0:

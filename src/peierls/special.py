@@ -1,12 +1,8 @@
 """Complete elliptic integrals, evaluated by ``scipy.special``.
 
 Parameter convention: the argument is the *parameter* m = k^2, not the
-modulus k.  Two normalizations are exposed:
-
-* ``elliptic_e`` / ``elliptic_k`` -- the bare integrals over [0, pi/2];
-* ``hyp_e`` / ``hyp_f`` -- the Gauss-hypergeometric normalization
-  2F1(1/2, -1/2; 1; m) and 2F1(1/2, 1/2; 1; m), i.e. (2/pi) times the
-  bare integrals.
+modulus k.  ``elliptic_e`` / ``elliptic_k`` are the bare integrals over
+[0, pi/2]; ``_e_derivatives`` gives dE/dm and its m-derivative from E, K.
 
 ``scipy.special.ellipe`` / ``ellipk`` cover negative parameters (the
 imaginary-modulus transformation, Abramowitz & Stegun 17.4.17-18) and give
@@ -24,9 +20,6 @@ from scipy.special import ellipe, ellipk
 __all__ = [
     "elliptic_e",
     "elliptic_k",
-    "hyp_e",
-    "hyp_f",
-    "de_dm",
 ]
 
 
@@ -53,24 +46,8 @@ def elliptic_e(m: float) -> float:
     return float(ellipe(m))
 
 
-def hyp_e(m: float) -> float:
-    """2F1(1/2, -1/2; 1; m) = (2/pi) E(m)."""
-    return (2.0 / math.pi) * elliptic_e(m)
-
-
-def hyp_f(m: float) -> float:
-    """2F1(1/2, 1/2; 1; m) = (2/pi) K(m)."""
-    return (2.0 / math.pi) * elliptic_k(m)
-
-
 # Maclaurin coefficients of dE/dm = (E - K)/(2m) = -(pi/8) sum c_n m^n
 _DE_DM_SERIES = (1.0, 3.0 / 8.0, 15.0 / 64.0, 175.0 / 1024.0, 2205.0 / 16384.0)
-
-
-def de_dm(m: float) -> float:
-    """dE/dm = (E(m) - K(m)) / (2m), series-evaluated near m = 0 (see `_e_derivatives`)."""
-    m = _check_finite(m)
-    return _e_derivatives(m, 1.0 - m, elliptic_e(m), elliptic_k(m))[0]
 
 
 def _e_derivatives(m: float, p: float, e: float, k: float) -> tuple[float, float]:

@@ -1,9 +1,9 @@
 """Acceptance suite: nine end-to-end criteria at fixed tolerances.
 
 Each test prints a single PASS/FAIL line (run pytest with -s or check the
-captured output) and then asserts.  Criterion 4's slope clause is
-implemented exactly as stated; see the criterion-4 docstring for why the
-measured convergence is faster than the stated window.
+captured output) and then asserts.  Criterion 4 measures its
+convergence order at q = 1.5, where the finite-L error is exactly C / L;
+see the criterion-4 docstring.
 """
 
 import math

@@ -12,7 +12,6 @@ from peierls.algebra import (
     mode_eigenvalues,
     mode_energies,
     paper_lambda,
-    q_bracket,
     xi,
 )
 from peierls.landscape import electronic_density_modesum
@@ -25,17 +24,6 @@ def params_at(q, w, big_l=16):
 
 def amplitude(loc):
     return CoherentAmplitude(loc / (2.0 * math.sqrt(2.0)), 0.0)
-
-
-def test_q_bracket_classical_limit():
-    assert q_bracket(3.0, 1.0) == 3.0
-    assert q_bracket(0.5, 1.0 + 1e-12) == 0.5
-
-
-@given(st.floats(min_value=0.2, max_value=5.0), st.floats(min_value=-3.0, max_value=3.0))
-def test_q_bracket_symmetry(q, x):
-    # [x]_q = [x]_{1/q}
-    assert q_bracket(x, q) == pytest.approx(q_bracket(x, 1.0 / q), rel=1e-10, abs=1e-12)
 
 
 def test_xi_values():

@@ -34,9 +34,9 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 
 def test_parse_basic(tmp_path):
-    path = write_cfg(tmp_path, "t = 0.5\nzeta = 1.25\nbig_l = 32\nstrict_paper = true\n# comment\n")
+    path = write_cfg(tmp_path, "t = 0.5\nzeta = 1.25\nbig_l = 32\n# comment\n")
     values = parse_config_file(path)
-    assert values == {"t": 0.5, "zeta": 1.25, "big_l": 32, "strict_paper": True}
+    assert values == {"t": 0.5, "zeta": 1.25, "big_l": 32}
 
 
 def test_parse_reports_line_and_field(tmp_path):
@@ -97,15 +97,45 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         ("kink-propagate", "hysteresis=nan", "hysteresis must be finite and >= 0"),
         ("kink-propagate", "hysteresis=-1", "hysteresis must be finite and >= 0"),
         ("kink-propagate", "anchor_offset=500", "anchor_offset: initial anchor 100 + 500 outside"),
+        ("landscape", "t=nan", "t must be finite"),
+        ("landscape", "zeta=nan", "zeta must be finite"),
+        ("landscape", "kappa=-inf", "kappa must be finite"),
+        ("landscape", "q=nan", "q must be finite"),
+        ("landscape", "w=inf", "w must be finite"),
+        ("kink-spectrum", "z_re=nan", "z_re must be finite"),
+        ("spectrum", "z_im=-inf", "z_im must be finite"),
+        ("landscape", "re_min=nan", "re_min must be finite"),
+        ("landscape", "im_max=inf", "im_max must be finite"),
+        ("critical-points", "newton_tol=nan", "newton_tol must be positive"),
+        ("critical-points", "newton_tol=-1", "newton_tol must be positive"),
+        ("critical-points", "max_step=-1", "max_step must be positive"),
+        ("critical-points", "seed_rings=0.05,nan", "seed_rings must be finite and >= 0"),
+        ("critical-points", "seed_rings=-0.05", "seed_rings must be finite and >= 0"),
+        ("dynamics", "settle_tol=nan", "settle_tol must be finite and >= 0"),
+        ("dynamics", "settle_tol=-1", "settle_tol must be finite and >= 0"),
     ],
 )
 def test_cli_out_of_range_input_exits_2(tmp_path, capsys, command, setting, message):
-    # library range checks raise ValueError; the CLI maps them to exit 2
+    # library range checks raise ValueError; the CLI maps them to exit 2 with one error line
     rc = main([command, "--reference", "kink_dynamics", "-o", str(tmp_path), "--set", setting])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and message in err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["config", "set", "env"])
+def test_cli_strict_paper_is_an_unknown_field(tmp_path, capsys, monkeypatch, source):
+    args = ["dynamics", "-o", str(tmp_path / "out")]
+    if source == "config":
+        args += ["--config", str(write_cfg(tmp_path, "strict_paper = true\n"))]
+    elif source == "set":
+        args += ["--set", "strict_paper=true"]
+    else:
+        monkeypatch.setenv("PEIERLS_STRICT_PAPER", "1")
+    assert main(args) == 2
+    assert "unknown field 'strict_paper'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Restricted phase-plane dynamics and the canonical flow."""
+"""Restricted phase-plane dynamics."""
 
 import math
 
@@ -10,15 +10,14 @@ import peierls.dynamics
 from peierls.config import load_config, reference_config_path
 from peierls.dynamics import (
     PhaseState,
-    canonical_flow,
     fixed_point_branches,
     integrate,
     ode_rhs,
     script_p,
     script_p_x,
 )
-from peierls.landscape import DomainError, d_electronic_d_loc, total_gradient
-from peierls.model import CoherentAmplitude, ModelParams
+from peierls.landscape import DomainError, _electronic_slopes
+from peierls.model import ModelParams
 
 
 def reference_config():
@@ -49,17 +48,8 @@ def test_kernel_is_scaled_landscape_slope():
     params = reference_params()
     for x, p in ((0.05, 0.02), (0.2, -0.1), (-0.3, 0.25)):
         loc = math.sqrt(2.0) * (params.zeta * x + params.kappa * p)
-        expected = -(2.0 * math.sqrt(2.0) / math.pi) * d_electronic_d_loc(params, loc)
+        expected = -(2.0 * math.sqrt(2.0) / math.pi) * _electronic_slopes(params, loc)[0]
         assert script_p(params, x, p) == pytest.approx(expected, rel=1e-12)
-
-
-def test_strict_paper_flag():
-    params = reference_params()
-    assert script_p(params, 0.1, 0.1, strict_paper=True) != pytest.approx(
-        script_p(params, 0.1, 0.1), rel=1e-6
-    )
-    unit = ModelParams(t=0.1, zeta=1.0, kappa=1.0, big_l=8, q=1.5, w=-1.0)
-    assert script_p(unit, 0.1, 0.05, strict_paper=True) == script_p(unit, 0.1, 0.05)
 
 
 def test_kernel_domain_error():
@@ -92,13 +82,12 @@ def test_origin_is_fixed_point_on_kernel_branch():
     assert abs(traj.final.x) < 1e-12 and abs(traj.final.v) < 1e-12
 
 
-@pytest.mark.parametrize("strict", [False, True])
-def test_kernel_slope_matches_central_difference(strict):
+def test_kernel_slope_matches_central_difference():
     params = reference_params()
     for x, p in ((0.05, 0.05), (0.2, -0.1), (-0.3, 0.25), (1e-4, 1e-4)):
         h = 1e-7 * max(abs(x), 1e-3)
-        fd = (script_p(params, x + h, p, strict) - script_p(params, x - h, p, strict)) / (2.0 * h)
-        assert script_p_x(params, x, p, strict) == pytest.approx(fd, rel=1e-7)
+        fd = (script_p(params, x + h, p) - script_p(params, x - h, p)) / (2.0 * h)
+        assert script_p_x(params, x, p) == pytest.approx(fd, rel=1e-7)
     assert script_p_x(params, 0.0, 0.0) == math.inf  # the Delta^2 ln Delta cusp
 
 
@@ -161,37 +150,3 @@ def test_domain_exit_recorded():
     traj = integrate(params, PhaseState(0.4, 2.0), dt=0.05, steps=2000)
     assert traj.termination == "domain-exit"
     assert all(math.isfinite(s.x) and math.isfinite(s.v) for s in traj.states)
-
-
-def test_canonical_flow_zero_at_critical_point():
-    params = reference_params()
-    z_min = CoherentAmplitude(0.026169004324320, 0.026169004324320)
-    assert abs(canonical_flow(params, z_min)) < 1e-8
-
-
-def test_canonical_flow_decoupled_is_linear():
-    p = ModelParams(t=1.0, zeta=0.0, kappa=0.0, big_l=8)
-    z = CoherentAmplitude(0.3, -0.2)
-    # phonon paraboloid only: dE/d(re) = 16 re, dE/d(im) = 4 im (per cell)
-    expected = -1j * 0.5 * complex(16 * 0.3, 4 * -0.2)
-    assert canonical_flow(p, z) == pytest.approx(expected, abs=1e-14)
-
-
-@given(st.floats(min_value=-0.05, max_value=0.05), st.floats(min_value=-0.05, max_value=0.05))
-def test_canonical_flow_odd(re, im):
-    params = reference_params()
-    z = CoherentAmplitude(re, im)
-    assert canonical_flow(params, -z) == pytest.approx(-canonical_flow(params, z), abs=1e-10)
-
-
-def test_canonical_flow_conventions():
-    params = reference_params()
-    z = CoherentAmplitude(0.03, 0.01)
-    ham = canonical_flow(params, z, convention="hamiltonian")
-    grad = canonical_flow(params, z, convention="gradient")
-    assert ham == pytest.approx(-1j * grad, abs=1e-15)
-    # hamiltonian convention moves orthogonally to the gradient: energy is conserved
-    g = total_gradient(params, z)
-    dz = ham
-    de_dt = g[0] * dz.real + g[1] * dz.imag
-    assert abs(de_dt) < 1e-12

@@ -225,19 +225,6 @@ def test_bond_order_matches_dense_coherence():
     assert np.max(np.abs(bond_order(occ) - expected)) < 1e-14
 
 
-def test_printed_variant_spectrum_matches_dense():
-    p = reference_params()
-    cfg = KinkConfiguration(n=20, z=z_min(), n_sites=50)
-    h = kink_matrix(p, cfg, "printed")
-    assert np.array_equal(h, h.T)
-    assert np.all(np.diag(h) == 0.0)
-    assert np.all(np.triu(h, 2) == 0.0)
-    evals, lowest, _ = kink_spectrum(p, cfg, variant="printed")
-    dense = np.linalg.eigvalsh(h)
-    assert np.max(np.abs(evals - dense)) < 1e-12
-    assert lowest == evals[0]
-
-
 def test_kink_position_tracks_anchor():
     p = reference_params()
     n_sites = 200

@@ -14,8 +14,6 @@ from peierls.landscape import (
     DomainError,
     _electronic_slopes,
     _energy_densities,
-    d_electronic_d_loc,
-    domain_limit,
     electronic_density_continuum,
     electronic_density_modesum,
     find_critical_points,
@@ -33,6 +31,12 @@ def g_one_params(big_l=64, q=1.0, w=0.0):
 
 def amplitude(loc, zeta=1.0):
     return CoherentAmplitude(loc / (2.0 * math.sqrt(2.0) * zeta), 0.0)
+
+
+def domain_limit(params):
+    """State-location bound where |m_q| = |1 - xi_q tanh(loc)^2| reaches 1; inf when xi_q <= 2."""
+    xq = xi(params.q, params.w)
+    return math.inf if xq <= 2.0 else math.atanh(math.sqrt(2.0 / xq))
 
 
 def double_well_params():
@@ -89,7 +93,7 @@ def test_analytic_d_loc_matches_finite_difference():
             electronic_density_continuum(p, amplitude(loc + h))
             - electronic_density_continuum(p, amplitude(loc - h))
         ) / (2.0 * h)
-        assert d_electronic_d_loc(p, loc) == pytest.approx(fd, rel=1e-6)
+        assert _electronic_slopes(p, loc)[0] == pytest.approx(fd, rel=1e-6)
 
 
 def _mpmath_slopes(params, loc):
@@ -113,7 +117,7 @@ def test_slopes_match_mpmath_at_small_loc(loc):
     o1, o2 = _mpmath_slopes(params, loc)
     assert d1 == pytest.approx(o1, rel=1e-13)
     assert d2 == pytest.approx(o2, rel=1e-13)
-    assert d_electronic_d_loc(params, -loc) == -d1
+    assert _electronic_slopes(params, -loc)[0] == -d1
 
 
 @pytest.mark.parametrize("m", [2.4e-3, -2.4e-3, 2.6e-3, -2.6e-3, 0.02, -0.02, -0.3])
@@ -138,7 +142,7 @@ def test_curvature_matches_five_point_difference_of_slope(qw, fraction, sign):
     reach = min(3.0, domain_limit(params))  # xi > 2 (w = -3) bounds loc; m < 0 beyond tanh^2 = 1/xi
     loc = sign * fraction * reach
     h = 1e-3 * min(abs(loc), 1.0)
-    f = [d_electronic_d_loc(params, loc + k * h) for k in (-2, -1, 1, 2)]
+    f = [_electronic_slopes(params, loc + k * h)[0] for k in (-2, -1, 1, 2)]
     fd = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
     assert _electronic_slopes(params, loc)[1] == pytest.approx(fd, rel=1e-8, abs=1e-10)
 
@@ -190,6 +194,28 @@ def test_total_gradient_matches_finite_difference():
             ]
         )
         assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+
+
+@pytest.mark.parametrize(
+    "params, z, expected, tol",
+    [
+        # phonon paraboloid only: dE/d(re) = 16 re, dE/d(im) = 4 im (per cell)
+        (ModelParams(t=1.0, zeta=0.0, kappa=0.0, big_l=8), CoherentAmplitude(0.3, -0.2), (16 * 0.3, 4 * -0.2), 1e-14),
+        # the kink_dynamics reference's double-well minimum, to the digits its config carries
+        (load_config(reference_config_path("kink_dynamics")).model_params(),
+         CoherentAmplitude(0.026169004324320, 0.026169004324320), (0.0, 0.0), 1e-8),
+    ],
+    ids=["decoupled-is-linear", "zero-at-kink-minimum"],
+)
+def test_total_gradient_known_values(params, z, expected, tol):
+    assert total_gradient(params, z) == pytest.approx(expected, abs=tol)
+
+
+@given(st.floats(min_value=-0.05, max_value=0.05), st.floats(min_value=-0.05, max_value=0.05))
+def test_total_gradient_odd(re, im):
+    params = load_config(reference_config_path("kink_dynamics")).model_params()
+    z = CoherentAmplitude(re, im)
+    assert total_gradient(params, -z) == pytest.approx(-total_gradient(params, z), abs=1e-10)
 
 
 def test_modesum_approaches_continuum():
