@@ -16,6 +16,7 @@ from peierls import (
     load_config,
     reference_config_path,
     total_density,
+    xi,
 )
 
 
@@ -23,7 +24,7 @@ def main() -> None:
     cfg = load_config(reference_config_path("double_well"))
     params = cfg.model_params()
     print(f"parameters: t={params.t}, zeta={params.zeta}, kappa={params.kappa}, "
-          f"q={params.q}, w={params.w}  (xi_q={params.xi_q:.4f})")
+          f"q={params.q}, w={params.w}  (xi_q={xi(params.q, params.w):.4f})")
 
     print("\ncritical points at q = 1.5:")
     points = find_critical_points(params, cfg.seeds(), tol=cfg.newton_tol, max_step=cfg.max_step)

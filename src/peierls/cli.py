@@ -79,7 +79,6 @@ def cmd_landscape(config: RunConfig, args: argparse.Namespace) -> int:
         (config.re_min, config.re_max),
         (config.im_min, config.im_max),
         config.resolution,
-        phonon_norm=config.phonon_norm,  # type: ignore[arg-type]
     )
     names = ["re", "im", "e_phonon", "e_electronic", "e_total"]
     in_domain = grid["in_domain"]
@@ -100,7 +99,6 @@ def cmd_critical_points(config: RunConfig, args: argparse.Namespace) -> int:
         config.model_params(),
         config.seeds(),
         tol=config.newton_tol,
-        phonon_norm=config.phonon_norm,  # type: ignore[arg-type]
         max_step=config.max_step,
     )
     counts = {kind: sum(p.kind == kind for p in points) for kind in ("minimum", "saddle", "maximum", "marginal")}
@@ -158,7 +156,7 @@ def cmd_dynamics(config: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(args)
     x = np.array([s.x for s in traj.states])
     half = CoherentAmplitude(0.5 * x, 0.5 * x)  # type: ignore[arg-type]
-    e_total = _energy_densities(config.model_params(), half, config.phonon_norm)["e_total"]  # type: ignore[arg-type]
+    e_total = _energy_densities(config.model_params(), half)["e_total"]
     _write_csv(
         out / "trajectory.csv",
         ["t", "x", "v", "e_total"],
@@ -211,7 +209,7 @@ def cmd_kink_propagate(config: RunConfig, args: argparse.Namespace) -> int:
     _write_csv(
         out / "kink_trajectory.csv",
         ["t", "re_z", "im_z", "kink_position", "energy", "n_anchor"],
-        [traj.times, [z.re for z in traj.z_values], [z.im for z in traj.z_values],
+        [traj.times, np.full(len(traj.times), config.z_re), np.full(len(traj.times), config.z_im),
          traj.positions, traj.energies, traj.anchors],
     )
     energies = np.array(traj.energies)
@@ -291,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a single config field (repeatable; highest precedence)",
         )
         p.add_argument("--workers", type=int, help="accepted for compatibility (>= 1); has no effect")
-        p.add_argument("--phonon-norm", choices=["per-cell", "per-site"], help="phonon normalization")
     return parser
 
 
@@ -301,8 +298,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides = _parse_overrides(args.set)
         if args.workers is not None:
             overrides["workers"] = args.workers
-        if args.phonon_norm is not None:
-            overrides["phonon_norm"] = args.phonon_norm
         config_file = args.config
         if config_file is None and args.reference is not None:
             config_file = reference_config_path(args.reference)

@@ -42,7 +42,6 @@ class RunConfig:
     q: float = 1.0
     w: float = 0.0
     big_l: int = 16
-    phonon_norm: str = "per-cell"
     # state
     z_re: float = 0.0
     z_im: float = 0.0
@@ -73,8 +72,6 @@ class RunConfig:
     hysteresis: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.phonon_norm not in ("per-cell", "per-site"):
-            raise ConfigError(f"phonon_norm must be 'per-cell' or 'per-site', got {self.phonon_norm!r}")
         for name in ("resolution", "workers", "steps", "kink_steps", "seed_angles"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

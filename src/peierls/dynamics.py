@@ -39,9 +39,6 @@ class PhaseState:
 @dataclass
 class Trajectory:
     states: list[PhaseState]
-    params: ModelParams
-    method: str
-    dt: float
     termination: str = "completed"
 
     @property
@@ -130,4 +127,4 @@ def integrate(
         if settle_tol is not None and abs(v) < settle_tol and abs(k1v) < settle_tol:
             termination = "settled"
             break
-    return Trajectory(states=states, params=params, method="rk4", dt=dt, termination=termination)
+    return Trajectory(states=states, termination=termination)

@@ -196,7 +196,6 @@ def kink_position(order: np.ndarray, window: int = 4) -> float:
 @dataclass
 class KinkTrajectory:
     times: list[float]
-    z_values: list[CoherentAmplitude]
     positions: list[float]
     energies: list[float]
     anchors: list[int]
@@ -247,12 +246,11 @@ def propagate_kink(
     flat[1::2, 0::2] = -v0 / math.sqrt(2.0)
     phonon = phonon_energy_total(z0, n_sites / 2)  # n_sites / 2 cells
 
-    traj = KinkTrajectory(times=[], z_values=[], positions=[], energies=[], anchors=[])
+    traj = KinkTrajectory(times=[], positions=[], energies=[], anchors=[])
 
     def record(t: float) -> float:
         order = bond_order(occupied)
         traj.times.append(t)
-        traj.z_values.append(z0)
         traj.positions.append(kink_position(order))
         traj.energies.append(float(weights @ order) + phonon)
         return traj.positions[-1]

@@ -21,26 +21,21 @@ from scipy.special import ellipe, ellipkm1
 
 from .algebra import deformed_mode_matrix, mode_eigenvalues, mode_energies, xi
 from .model import CoherentAmplitude, ModelParams, effective_coupling, state_location
-from .special import _check_finite, _e_derivatives, elliptic_e
+from .special import _check_finite, _e_derivatives
 
 __all__ = [
     "DomainError",
     "EnergyBreakdown",
     "CriticalPoint",
     "CriticalPoints",
-    "PhononNorm",
     "phonon_energy_total",
     "electronic_density_continuum",
-    "electronic_prefactor",
-    "elliptic_parameter",
     "total_gradient",
     "electronic_density_modesum",
     "total_density",
     "landscape_grid",
     "find_critical_points",
 ]
-
-PhononNorm = Literal["per-cell", "per-site"]
 
 
 class DomainError(ValueError):
@@ -70,40 +65,13 @@ def phonon_energy_total(z: CoherentAmplitude, big_l: int) -> float:
     return 2.0 * big_l * (4.0 * z.re * z.re + z.im * z.im + 0.75)
 
 
-def _phonon_scale(phonon_norm: PhononNorm) -> float:
-    """The phonon density is `phonon_energy_total` / L per unit cell, half that per site."""
-    return 1.0 if phonon_norm == "per-cell" else 0.5
-
-
-def _phonon_curvatures(phonon_norm: PhononNorm) -> tuple[float, float]:
-    """d2/d(Re z)2 and d2/d(Im z)2 of the phonon density: 16 and 4 per unit cell."""
-    scale = _phonon_scale(phonon_norm)
-    return 16.0 * scale, 4.0 * scale
-
-
-def electronic_prefactor(params: ModelParams, loc: float | np.ndarray) -> float | np.ndarray:
-    """p_q = (2/pi) g q^w cosh(loc), elementwise over an array of locations."""
-    g = effective_coupling(params)
-    return (2.0 / math.pi) * g * params.q**params.w * np.cosh(loc)
-
-
-def elliptic_parameter(params: ModelParams, loc: float | np.ndarray) -> float | np.ndarray:
-    """m_q = 1 - xi_q tanh(loc)^2, elementwise over an array of locations."""
-    th = np.tanh(loc)  # th * th: a scalar ** calls C pow, which can miss numpy's array square by an ulp
-    return 1.0 - xi(params.q, params.w) * (th * th)
-
-
-def _check_domain(m: float) -> float:
-    if abs(m) > 1.0:
-        raise DomainError(f"elliptic parameter m={m} outside [-1, 1]; state location beyond convergence bound")
-    return m
+# d2/d(Re z)2 and d2/d(Im z)2 of the phonon density per unit cell, 2(4 Re^2 z + Im^2 z + 3/4)
+_PHONON_CURVATURES = (16.0, 4.0)
 
 
 def electronic_density_continuum(params: ModelParams, z: CoherentAmplitude) -> float:
     """Large-L electronic density -p_q(z) E(m_q); even in z."""
-    loc = state_location(params, z)
-    m = _check_domain(float(elliptic_parameter(params, loc)))
-    return -float(electronic_prefactor(params, loc)) * elliptic_e(m)
+    return total_density(params, z).electronic
 
 
 def _electronic_slopes(params: ModelParams, loc: float) -> tuple[float, float]:
@@ -117,7 +85,9 @@ def _electronic_slopes(params: ModelParams, loc: float) -> tuple[float, float]:
     p = xq * th * th
     if p == 0.0:
         return 0.0, -math.inf
-    m = _check_domain(_check_finite(1.0 - p))
+    m = _check_finite(1.0 - p)
+    if abs(m) > 1.0:
+        raise DomainError(f"elliptic parameter m={m} outside [-1, 1]; state location beyond convergence bound")
     e = float(ellipe(m))
     e_m, p_e_mm = _e_derivatives(m, p, e, float(ellipkm1(p)))
     ch = math.cosh(loc)
@@ -126,12 +96,10 @@ def _electronic_slopes(params: ModelParams, loc: float) -> tuple[float, float]:
     return -pref * math.sinh(loc) * (e - 2.0 * xq * e_m / (ch * ch)), d2
 
 
-def _gradient_and_hessian(
-    params: ModelParams, z: CoherentAmplitude, phonon_norm: PhononNorm
-) -> tuple[np.ndarray, np.ndarray]:
+def _gradient_and_hessian(params: ModelParams, z: CoherentAmplitude) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of the total density w.r.t. (Re z, Im z) from one `_electronic_slopes`
     call: the phonon diagonal plus 8 d2E_el/d(loc)2 (zeta, kappa)^T (zeta, kappa)."""
-    (c_re, c_im), zeta, kappa = _phonon_curvatures(phonon_norm), params.zeta, params.kappa
+    (c_re, c_im), zeta, kappa = _PHONON_CURVATURES, params.zeta, params.kappa
     d1, d2 = _electronic_slopes(params, state_location(params, z))
     g = d1 * 2.0 * math.sqrt(2.0)
     c = 8.0 * d2 if zeta or kappa else 0.0  # with both 0, loc = 0 (d2 = -inf) at every z and drops out
@@ -140,13 +108,9 @@ def _gradient_and_hessian(
     return grad, np.array(hess)
 
 
-def total_gradient(
-    params: ModelParams,
-    z: CoherentAmplitude,
-    phonon_norm: PhononNorm = "per-cell",
-) -> np.ndarray:
+def total_gradient(params: ModelParams, z: CoherentAmplitude) -> np.ndarray:
     """Analytic gradient of the total density w.r.t. (Re z, Im z)."""
-    return _gradient_and_hessian(params, z, phonon_norm)[0]
+    return _gradient_and_hessian(params, z)[0]
 
 
 def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> float:
@@ -164,32 +128,29 @@ def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> flo
     return float(np.mean(mode_eigenvalues(deformed_mode_matrix(params, modes))[0]))
 
 
-def _phonon_density(params: ModelParams, z: CoherentAmplitude, phonon_norm: PhononNorm) -> float:
-    return _phonon_scale(phonon_norm) * phonon_energy_total(z, params.big_l) / params.big_l
+def total_density(params: ModelParams, z: CoherentAmplitude) -> EnergyBreakdown:
+    """`_energy_densities` at one z; raises `DomainError` outside the elliptic domain."""
+    columns = _energy_densities(params, CoherentAmplitude(np.array([z.re]), np.array([z.im])))  # type: ignore[arg-type]
+    if not columns["in_domain"][0]:
+        raise DomainError(f"elliptic parameter at z = ({z.re}, {z.im}) outside [-1, 1]; "
+                          "state location beyond convergence bound")
+    return EnergyBreakdown(phonon=float(columns["e_phonon"][0]), electronic=float(columns["e_electronic"][0]))
 
 
-def total_density(
-    params: ModelParams,
-    z: CoherentAmplitude,
-    phonon_norm: PhononNorm = "per-cell",
-) -> EnergyBreakdown:
-    """Phonon plus electronic density; phonon normalized per unit cell by default."""
-    return EnergyBreakdown(
-        phonon=_phonon_density(params, z, phonon_norm),
-        electronic=electronic_density_continuum(params, z),
-    )
-
-
-def _energy_densities(params: ModelParams, z: CoherentAmplitude, phonon_norm: PhononNorm) -> dict[str, np.ndarray]:
-    """`total_density` over arrays of z, as columns ``e_phonon``, ``e_electronic``,
-    ``e_total`` and ``in_domain``; ``in_domain`` is False where the elliptic
-    parameter leaves [-1, 1], and those cells have NaN energies."""
+def _energy_densities(params: ModelParams, z: CoherentAmplitude) -> dict[str, np.ndarray]:
+    """The continuum density over arrays of z, as columns ``e_phonon``, ``e_electronic``,
+    ``e_total`` and ``in_domain``.  The phonon density is per unit cell,
+    `phonon_energy_total` / L; the electronic one is -p_q E(m_q) with
+    p_q = (2/pi) g q^w cosh(loc) and m_q = 1 - xi_q tanh(loc)^2.  ``in_domain``
+    is False where m_q leaves [-1, 1], and those cells have NaN energies."""
     loc = state_location(params, z)
-    m = elliptic_parameter(params, loc)
+    th = np.tanh(loc)
+    m = 1.0 - xi(params.q, params.w) * (th * th)
     in_domain = np.abs(m) <= 1.0
-    e_phonon = np.where(in_domain, _phonon_density(params, z, phonon_norm), np.nan)
+    e_phonon = np.where(in_domain, phonon_energy_total(z, params.big_l) / params.big_l, np.nan)
     e_electronic = np.full(in_domain.shape, np.nan)
-    e_electronic[in_domain] = -electronic_prefactor(params, loc[in_domain]) * ellipe(m[in_domain])
+    p_q = (2.0 / math.pi) * effective_coupling(params) * params.q**params.w * np.cosh(loc[in_domain])
+    e_electronic[in_domain] = -p_q * ellipe(m[in_domain])
     return {
         "e_phonon": e_phonon,
         "e_electronic": e_electronic,
@@ -203,7 +164,6 @@ def landscape_grid(
     re_range: tuple[float, float],
     im_range: tuple[float, float],
     resolution: int,
-    phonon_norm: PhononNorm = "per-cell",
 ) -> dict[str, np.ndarray]:
     """Energy breakdowns over a resolution x resolution grid, as flat columns.
 
@@ -216,7 +176,7 @@ def landscape_grid(
     res = np.linspace(re_range[0], re_range[1], resolution) if resolution > 1 else [0.5 * sum(re_range)]
     ims = np.linspace(im_range[0], im_range[1], resolution) if resolution > 1 else [0.5 * sum(im_range)]
     re, im = (axis.ravel() for axis in np.meshgrid(res, ims, indexing="ij"))
-    return {"re": re, "im": im, **_energy_densities(params, CoherentAmplitude(re, im), phonon_norm)}  # type: ignore[arg-type]
+    return {"re": re, "im": im, **_energy_densities(params, CoherentAmplitude(re, im))}  # type: ignore[arg-type]
 
 
 def _classify(eigs: np.ndarray) -> str:
@@ -241,21 +201,25 @@ def find_critical_points(
     seeds: Iterable[tuple[float, float]] | Sequence[CoherentAmplitude],
     tol: float = 1e-10,
     max_iter: int = 200,
-    phonon_norm: PhononNorm = "per-cell",
     max_step: float | None = None,
 ) -> CriticalPoints:
     """Damped Newton descent on the gradient from each seed.
 
     Gradient and analytic Hessian come from one evaluation per iterate; the
     step is -grad where the Hessian is singular or, at loc = 0, not finite.
-    Converged points are deduplicated within 1e-6 and classified by the
-    sign pattern of the Hessian eigenvalues.  Seeds that fail to converge
-    are skipped (counted in the result's `seeds`, not fatal).
+    A seed whose iterate comes within 1e-6 of a point already found stops
+    there and counts as converged and deduplicated; new points are
+    classified by the sign pattern of the Hessian eigenvalues.  Seeds that
+    fail to converge are skipped (counted in the result's `seeds`, not fatal).
     `max_step` caps the Newton step length (trust radius), keeping each
     seed attached to its local basin instead of jumping to far saddles.
     """
     found = CriticalPoints()
     found.seeds = dict.fromkeys(("tried", "converged", "skipped", "deduplicated"), 0)
+
+    def known(pt: np.ndarray) -> bool:
+        return any(np.hypot(pt[0] - c.location[0], pt[1] - c.location[1]) < 1e-6 for c in found)
+
     for seed in seeds:
         found.seeds["tried"] += 1
         if isinstance(seed, CoherentAmplitude):
@@ -264,10 +228,10 @@ def find_critical_points(
             pt = np.array(seed, dtype=float)
         converged = False
         try:
-            grad, hess = _gradient_and_hessian(params, CoherentAmplitude(*pt), phonon_norm)
+            grad, hess = _gradient_and_hessian(params, CoherentAmplitude(*pt))
             for _ in range(max_iter):
                 gnorm = float(np.linalg.norm(grad))
-                if gnorm < tol:
+                if gnorm < tol or known(pt):
                     converged = True
                     break
                 try:
@@ -283,7 +247,7 @@ def find_critical_points(
                 for _ in range(40):
                     trial = pt + lam * step
                     try:
-                        gt, ht = _gradient_and_hessian(params, CoherentAmplitude(*trial), phonon_norm)
+                        gt, ht = _gradient_and_hessian(params, CoherentAmplitude(*trial))
                     except DomainError:
                         lam *= 0.5
                         continue
@@ -299,13 +263,13 @@ def find_critical_points(
             found.seeds["skipped"] += 1
             continue
         found.seeds["converged"] += 1
-        if any(np.hypot(pt[0] - c.location[0], pt[1] - c.location[1]) < 1e-6 for c in found):
+        if known(pt):
             found.seeds["deduplicated"] += 1
             continue
         if np.isfinite(hess).all():
             eigs = np.linalg.eigvalsh(hess)
         else:  # loc = 0: -inf along (zeta, kappa), and across it only the phonons curve
-            (c_re, c_im), zeta2, kappa2 = _phonon_curvatures(phonon_norm), params.zeta**2, params.kappa**2
+            (c_re, c_im), zeta2, kappa2 = _PHONON_CURVATURES, params.zeta**2, params.kappa**2
             across = (c_re * kappa2 + c_im * zeta2) / (zeta2 + kappa2)
             eigs = np.array([-math.inf, across])
         found.append(

@@ -52,16 +52,6 @@ class ModelParams:
         if self.big_l < 1:
             raise ValueError(f"big_l must be >= 1, got {self.big_l}")
 
-    @property
-    def g(self) -> float:
-        return effective_coupling(self)
-
-    @property
-    def xi_q(self) -> float:
-        from .algebra import xi
-
-        return xi(self.q, self.w)
-
 
 @dataclass(frozen=True)
 class CoherentAmplitude:
@@ -72,14 +62,6 @@ class CoherentAmplitude:
 
     def __neg__(self) -> "CoherentAmplitude":
         return CoherentAmplitude(-self.re, -self.im)
-
-    @property
-    def x(self) -> float:
-        return 2.0 * self.re
-
-    @property
-    def p(self) -> float:
-        return 2.0 * self.im
 
 
 @dataclass(frozen=True)

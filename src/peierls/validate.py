@@ -204,7 +204,7 @@ def _check_curvature(report: ValidationReport) -> None:
 
 
 def _wall_decay(params: ModelParams, config: KinkConfiguration, span: int = 40) -> tuple[float, float]:
-    """Fitted per-site decay of the wall state left and right of the wall bond (n, n+1).
+    """Fitted decay per site of the wall state left and right of the wall bond (n, n+1).
 
     The smallest singular pair (w, v) of the even-odd block holds the wall state on one
     sublattice, where the E = 0 transfer matrix gives psi_{j+2} = -(A_w / A_s) psi_j,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from peierls.algebra import deformed_mode_matrix, mode_eigenvalues, mode_energies
+from peierls.algebra import deformed_mode_matrix, mode_eigenvalues, mode_energies, xi
 from peierls.cli import main
 from peierls.config import load_config, reference_config_path
 from peierls.dynamics import PhaseState, integrate
@@ -155,7 +155,7 @@ def test_criterion_4_modesum_convergence():
     errors = [error(deformed(big_l)) for big_l in ls]
     order = -float(np.polyfit(np.log(ls), np.log(errors), 1)[0])
     p = deformed(4096)
-    c = 0.5 * effective_coupling(p) * math.cosh(loc) * (p.q - 1.0 / p.q) * p.q ** (2 * p.w) * p.xi_q
+    c = 0.5 * effective_coupling(p) * math.cosh(loc) * (p.q - 1.0 / p.q) * p.q ** (2 * p.w) * xi(p.q, p.w)
     c_dev = max(abs(big_l * e / c - 1.0) for big_l, e in zip(ls, errors))
     rel = error(p) / abs(electronic_density_continuum(p, z))
     undeformed = max(error(g_one_params(big_l=big_l)) for big_l in ls)
@@ -180,7 +180,7 @@ def test_criterion_5_double_well():
     start = time.perf_counter()
     cfg = load_config(reference_config_path("double_well"))
     p = cfg.model_params()
-    assert p.q == 1.5 and 1.0 < p.xi_q < 2.0
+    assert p.q == 1.5 and 1.0 < xi(p.q, p.w) < 2.0
     points = find_critical_points(p, cfg.seeds(), tol=cfg.newton_tol, max_step=cfg.max_step)
     saddles = [c for c in points if c.kind == "saddle"]
     minima = [c for c in points if c.kind == "minimum"]

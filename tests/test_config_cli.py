@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import peierls
 import peierls.algebra
-from peierls.cli import _write_csv, main
+from peierls.cli import _COMMANDS as COMMANDS, _write_csv, main
 from peierls.config import (
     ConfigError,
     RunConfig,
@@ -58,8 +59,6 @@ def test_precedence_file_env_cli(tmp_path):
 def test_invalid_field_values():
     with pytest.raises(ConfigError, match="t"):
         RunConfig(t=-1.0)
-    with pytest.raises(ConfigError, match="phonon_norm"):
-        RunConfig(phonon_norm="bogus")
     with pytest.raises(ConfigError, match="resolution"):
         RunConfig(resolution=0)
 
@@ -125,17 +124,29 @@ def test_cli_out_of_range_input_exits_2(tmp_path, capsys, command, setting, mess
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("source", ["config", "set", "env"])
-def test_cli_strict_paper_is_an_unknown_field(tmp_path, capsys, monkeypatch, source):
+def run_naming_field(tmp_path, monkeypatch, source, field, value):
+    """Run `dynamics` with `field` set in a config file, a --set or the environment."""
     args = ["dynamics", "-o", str(tmp_path / "out")]
     if source == "config":
-        args += ["--config", str(write_cfg(tmp_path, "strict_paper = true\n"))]
+        args += ["--config", str(write_cfg(tmp_path, f"{field} = {value}\n"))]
     elif source == "set":
-        args += ["--set", "strict_paper=true"]
+        args += ["--set", f"{field}={value}"]
     else:
-        monkeypatch.setenv("PEIERLS_STRICT_PAPER", "1")
-    assert main(args) == 2
+        monkeypatch.setenv(f"PEIERLS_{field.upper()}", value)
+    return main(args)
+
+
+@pytest.mark.parametrize("source", ["config", "set", "env"])
+def test_cli_strict_paper_is_an_unknown_field(tmp_path, capsys, monkeypatch, source):
+    assert run_naming_field(tmp_path, monkeypatch, source, "strict_paper", "true") == 2
     assert "unknown field 'strict_paper'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config", "set", "env"])
+def test_cli_phonon_norm_is_an_unknown_field(tmp_path, capsys, monkeypatch, source):
+    # the phonon energy is per unit cell, the one normalization the kink and oscillator layers use
+    assert run_naming_field(tmp_path, monkeypatch, source, "phonon_norm", "per-cell") == 2
+    assert "unknown field 'phonon_norm'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -398,3 +409,39 @@ def test_cli_rerun_from_metadata(tmp_path):
     out2 = tmp_path / "second"
     assert main(["landscape", "--config", str(rerun_cfg), "-o", str(out2)]) == 0
     assert (out1 / "landscape.csv").read_bytes() == (out2 / "landscape.csv").read_bytes()
+
+
+# fields that set how much work a command does, each with a small range
+SIZE_FIELDS = {"resolution": (1, 6), "big_l": (1, 16), "steps": (1, 40), "kink_steps": (1, 6),
+               "n_sites": (3, 24), "seed_angles": (1, 4)}
+# every run starts small; a drawn --set comes later and wins
+SMALL = ["resolution=5", "big_l=8", "steps=30", "kink_steps=4", "n_sites=24", "kink_site=12", "seed_angles=2"]
+FUZZ_TEXT = ["", "abc", "1.5", "0", "-1", "nan", "inf", "-inf", "1e308", "-1e-300", "0.05,0.1"]
+
+
+@st.composite
+def fuzz_setting(draw):
+    key = draw(st.sampled_from([*sorted(f.name for f in fields(RunConfig)), "phonon_norm"]))
+    if key in SIZE_FIELDS:
+        value = draw(st.integers(*SIZE_FIELDS[key]).map(str) | st.sampled_from(["", "x", "0", "-2", "2.5", "nan"]))
+    else:
+        value = draw(st.floats(-2.0, 2.0).map(repr) | st.integers(-30, 30).map(str) | st.sampled_from(FUZZ_TEXT))
+    return f"{key}={value}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(sorted(set(COMMANDS) - {"validate"})),
+    reference=st.sampled_from([None, "double_well", "kink_dynamics"]),
+    pairs=st.lists(fuzz_setting(), min_size=1, max_size=4),
+)
+@example(command="spectrum", reference=None, pairs=["zeta=30"])  # exp overflows: exit 3
+@example(command="kink-spectrum", reference="kink_dynamics", pairs=["z_re=1e308"])  # non-finite chain: exit 2
+def test_cli_fuzz_exits_0_2_or_3(tmp_path_factory, command, reference, pairs):
+    # any config gives a documented exit code, never a traceback; runs in-process
+    argv = [command, "-o", str(tmp_path_factory.mktemp("fuzz"))]
+    if reference is not None:
+        argv += ["--reference", reference]
+    for pair in [*SMALL, *pairs]:
+        argv += ["--set", pair]
+    assert main(argv) in (0, 2, 3)

@@ -16,7 +16,7 @@ from peierls.dynamics import (
     script_p,
     script_p_x,
 )
-from peierls.landscape import DomainError, _electronic_slopes
+from peierls.landscape import DomainError, _electronic_slopes, find_critical_points
 from peierls.model import ModelParams
 
 
@@ -31,6 +31,16 @@ def reference_params():
 # attractor x-coordinate of the shipped dynamics reference (unit-slope
 # branch of the kernel, solved independently during config construction)
 X_ATTRACTOR = 0.05233800864865468
+
+
+def test_landscape_minimum_is_the_attractor_and_the_kink_amplitude():
+    # one coherent-state energy: the per-cell landscape minimum z, the oscillator
+    # attractor x = 2 Re z = 2 Im z on p = x, and the kink chain's frozen z coincide
+    cfg = reference_config()
+    points = find_critical_points(cfg.model_params(), cfg.seeds(), tol=cfg.newton_tol, max_step=cfg.max_step)
+    ((re, im),) = [c.location for c in points if c.kind == "minimum" and c.location[0] > 0]
+    for x in (2.0 * re, 2.0 * im, 2.0 * cfg.z_re, 2.0 * cfg.z_im):
+        assert abs(x - X_ATTRACTOR) < 1e-12
 
 
 def test_kernel_vanishes_at_origin():

@@ -124,7 +124,7 @@ def test_slopes_match_mpmath_at_small_loc(loc):
 def test_slopes_match_mpmath_near_m_zero(m):
     # both sides of the series branch of `special._e_derivatives` (|m| < 2.5e-3)
     params = load_config(reference_config_path("kink_dynamics")).model_params()
-    loc = math.atanh(math.sqrt((1.0 - m) / params.xi_q))
+    loc = math.atanh(math.sqrt((1.0 - m) / xi(params.q, params.w)))
     d1, d2 = _electronic_slopes(params, loc)
     o1, o2 = _mpmath_slopes(params, loc)
     assert d1 == pytest.approx(o1, rel=1e-13)
@@ -162,15 +162,14 @@ def test_total_density_scalar_and_array_bitwise(re, im):
     # a scalar ** 2 calls C pow: 0.5025 ulp off for Re z = -0.02616900268718804 in
     # the phonon energy, and one ulp off numpy's square in tanh(loc)^2 at the second point
     _, p = double_well_params()
-    for norm in ("per-cell", "per-site"):
-        columns = _energy_densities(p, CoherentAmplitude(np.array([re]), np.array([im])), norm)
-        assert total_density(p, CoherentAmplitude(re, im), norm).total == columns["e_total"][0]
+    columns = _energy_densities(p, CoherentAmplitude(np.array([re]), np.array([im])))
+    assert total_density(p, CoherentAmplitude(re, im)).total == columns["e_total"][0]
 
 
 @given(st.floats(min_value=-0.5, max_value=0.5), st.floats(min_value=-0.5, max_value=0.5))
 def test_total_density_scalar_and_array_bitwise_hypothesis(re, im):
     _, p = double_well_params()
-    columns = _energy_densities(p, CoherentAmplitude(np.array([re]), np.array([im])), "per-cell")
+    columns = _energy_densities(p, CoherentAmplitude(np.array([re]), np.array([im])))
     breakdown = total_density(p, CoherentAmplitude(re, im))
     assert (breakdown.phonon, breakdown.electronic, breakdown.total) == (
         columns["e_phonon"][0], columns["e_electronic"][0], columns["e_total"][0]
@@ -298,14 +297,13 @@ def test_reference_double_well_structure():
     assert abs(minima[0].location[1] + minima[1].location[1]) < 1e-8
 
 
-@pytest.mark.parametrize("norm, scale", [("per-cell", 1.0), ("per-site", 0.5)])
-def test_origin_saddle_eigenvalues_are_exact(norm, scale):
+def test_origin_saddle_eigenvalues_are_exact():
     # at loc = 0 the curvature along (zeta, kappa) is -inf; across it only
     # the phonons curve: (16 kappa^2 + 4 zeta^2) / (zeta^2 + kappa^2)
     cfg, p = double_well_params()
-    points = find_critical_points(p, cfg.seeds(), tol=cfg.newton_tol, phonon_norm=norm, max_step=cfg.max_step)
+    points = find_critical_points(p, cfg.seeds(), tol=cfg.newton_tol, max_step=cfg.max_step)
     (saddle,) = [c for c in points if c.kind == "saddle"]
-    across = scale * (16.0 * p.kappa**2 + 4.0 * p.zeta**2) / (p.zeta**2 + p.kappa**2)
+    across = (16.0 * p.kappa**2 + 4.0 * p.zeta**2) / (p.zeta**2 + p.kappa**2)
     assert saddle.location == (0.0, 0.0)
     assert saddle.hessian_eigs == (-math.inf, pytest.approx(across, rel=1e-15))
 
