@@ -50,8 +50,7 @@ from .model import (
     HoppingChain,
     ModelParams,
     effective_coupling,
-    single_particle_matrix,
-    spectrum,
+    ring_spectrum,
     staggered_bonds,
     staggered_ring_bands,
     state_location,

@@ -29,7 +29,7 @@ from .config import ConfigError, RunConfig, _coerce, load_config, reference_conf
 from .dynamics import PhaseState, integrate
 from .kink import KinkConfiguration, kink_spectrum, propagate_kink
 from .landscape import _energy_densities, find_critical_points, landscape_grid
-from .model import CoherentAmplitude, single_particle_matrix, spectrum, staggered_bonds
+from .model import CoherentAmplitude, ring_spectrum, staggered_bonds
 
 __all__ = ["main"]
 
@@ -74,16 +74,18 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_landscape(config: RunConfig, args: argparse.Namespace) -> int:
-    grid = landscape_grid(
-        config.model_params(),
-        (config.re_min, config.re_max),
-        (config.im_min, config.im_max),
-        config.resolution,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing cells get the status "non-finite"
+        grid = landscape_grid(
+            config.model_params(),
+            (config.re_min, config.re_max),
+            (config.im_min, config.im_max),
+            config.resolution,
+        )
     names = ["re", "im", "e_phonon", "e_electronic", "e_total"]
     in_domain = grid["in_domain"]
     out = _out_dir(args)
-    status = np.where(in_domain, "ok", "domain")
+    labels = np.array(["ok", "domain", "non-finite"], dtype=object)  # shared strings, not a fixed width per cell
+    status = labels[np.where(np.isfinite(grid["e_total"]), 0, 1 + in_domain)]
     _write_csv(out / "landscape.csv", [*names, "status"], [*(grid[name] for name in names), status])
     _write_metadata(
         out / "landscape.json",
@@ -121,17 +123,17 @@ def cmd_critical_points(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
     params = config.model_params()
     z = CoherentAmplitude(config.z_re, config.z_im)
-    dense = spectrum(single_particle_matrix(staggered_bonds(params, z)))
+    real_space = ring_spectrum(staggered_bonds(params, z))
     m = mode_energies(params, z, np.arange(params.big_l))
     r = np.hypot(m.epsilon, m.delta)
     modes = np.sort(np.concatenate((-r, r)))
     nonzero = np.abs(modes) > 1e-300
-    constant = float(np.median(dense[nonzero] / modes[nonzero])) if nonzero.any() else math.nan
+    constant = float(np.median(real_space[nonzero] / modes[nonzero])) if nonzero.any() else math.nan
     out = _out_dir(args)
     _write_csv(
         out / "spectrum.csv",
         ["index", "real_space", "mode_value"],
-        [np.arange(len(dense)), dense, modes],
+        [np.arange(len(real_space)), real_space, modes],
     )
     _write_metadata(
         out / "spectrum.json",

@@ -92,6 +92,11 @@ class RunConfig:
         for name in ("z_re", "z_im", "x0", "v0", "re_min", "re_max", "im_min", "im_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        spans = {"re_max - re_min": self.re_max - self.re_min, "im_max - im_min": self.im_max - self.im_min,
+                 "dt * steps": self.dt * self.steps, "kink_dt * kink_steps": self.kink_dt * self.kink_steps}
+        for name, value in spans.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not all(math.isfinite(r) and r >= 0 for r in self.seed_rings):
             raise ConfigError(f"seed_rings must be finite and >= 0, got {self.seed_rings}")
         try:

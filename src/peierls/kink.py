@@ -17,6 +17,7 @@ difference operator and its zero subspace, which `validate` checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +59,10 @@ class KinkConfiguration:
         if not 0 <= self.n <= self.n_sites - 2:
             raise ValueError(f"kink site {self.n} outside [0, {self.n_sites - 2}]")
 
-    def amplitudes(self) -> np.ndarray:
-        """Per-site complex amplitudes under the kink staggering."""
+    def staggering(self) -> np.ndarray:
+        """Per-site sign of the amplitude z_j: (-)^j up to the wall site n, (-)^(j+1) beyond it."""
         j = np.arange(self.n_sites)
-        # (-)^j up to the wall site n, (-)^(j+1) beyond it
-        return (-1.0) ** (j + (j > self.n)) * complex(self.z.re, self.z.im)
+        return (-1.0) ** (j + (j > self.n))
 
 
 def _omega(params: ModelParams, loc: float, ell: int) -> float:
@@ -74,11 +74,15 @@ def _omega(params: ModelParams, loc: float, ell: int) -> float:
 def _offdiagonal(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
     """Off-diagonal h[j, j+1] = h[j+1, j] of the kink matrix (its diagonal is zero):
     -A_j, with A_j = g exp(sqrt(2) Re[(zeta - i kappa)(z_{j+1} - z_j)]) the
-    coherent-state average of the exponential hopping.
+    coherent-state average of the exponential hopping.  z_{j+1} - z_j is z times a
+    step of the staggering, so the exponent is +-loc in the bulk and 0 across the
+    wall; z is never differenced, and a loc whose bonds would overflow is rejected.
     """
-    dz = np.diff(config.amplitudes())
-    exponent = math.sqrt(2.0) * (params.zeta * dz.real + params.kappa * dz.imag)
-    return -effective_coupling(params) * np.exp(exponent)
+    g = effective_coupling(params)
+    loc = state_location(params, config.z)
+    if not abs(loc) < math.log(sys.float_info.max / max(g, 1.0)):  # NaN fails too
+        raise ValueError(f"kink bonds g exp(+-loc) overflow at state location {loc}")
+    return -g * np.exp(0.5 * np.diff(config.staggering()) * loc)
 
 
 def kink_matrix(params: ModelParams, config: KinkConfiguration) -> np.ndarray:

@@ -102,7 +102,7 @@ def _gradient_and_hessian(params: ModelParams, z: CoherentAmplitude) -> tuple[np
     (c_re, c_im), zeta, kappa = _PHONON_CURVATURES, params.zeta, params.kappa
     d1, d2 = _electronic_slopes(params, state_location(params, z))
     g = d1 * 2.0 * math.sqrt(2.0)
-    c = 8.0 * d2 if zeta or kappa else 0.0  # with both 0, loc = 0 (d2 = -inf) at every z and drops out
+    c = 8.0 * d2 if zeta * zeta + kappa * kappa else 0.0  # both ~0: loc = 0 (d2 = -inf) at every z, drops out
     grad = np.array([c_re * z.re + g * zeta, c_im * z.im + g * kappa])
     hess = [[c_re + c * zeta * zeta, c * zeta * kappa], [c * zeta * kappa, c_im + c * kappa * kappa]]
     return grad, np.array(hess)

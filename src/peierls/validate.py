@@ -23,17 +23,16 @@ from .algebra import deformed_mode_matrix, lambda_discrepancy, mode_eigenvalues,
 from .kink import KinkConfiguration, difference_operator, kink_spectrum, sublattice_svd, zero_subspace, _offdiagonal, _omega
 from .landscape import (
     _electronic_slopes,
+    _energy_densities,
     electronic_density_continuum,
     electronic_density_modesum,
-    total_density,
     total_gradient,
 )
 from .model import (
     CoherentAmplitude,
     ModelParams,
     effective_coupling,
-    spectrum,
-    single_particle_matrix,
+    ring_spectrum,
     staggered_bonds,
     state_location,
 )
@@ -164,31 +163,25 @@ def _check_modesum(report: ValidationReport) -> None:
 
 
 def _check_landscape(report: ValidationReport, params: ModelParams) -> None:
+    # the first 50 uniform draws (one (re, im) pair each) in the domain, which is even in z
     rng = np.random.default_rng(20260823)
-    parity = 0.0
-    grad_err = 0.0
-    checked = 0
-    while checked < 50:
-        z = CoherentAmplitude(*(rng.uniform(-0.08, 0.08, size=2)))
-        try:
-            e_plus = total_density(params, z).total
-            e_minus = total_density(params, -z).total
-            grad = total_gradient(params, z)
-        except ValueError:
-            continue
-        parity = max(parity, abs(e_plus - e_minus))
-        h = 1e-6
-        fd = np.array(
-            [
-                (total_density(params, CoherentAmplitude(z.re + h, z.im)).total
-                 - total_density(params, CoherentAmplitude(z.re - h, z.im)).total) / (2 * h),
-                (total_density(params, CoherentAmplitude(z.re, z.im + h)).total
-                 - total_density(params, CoherentAmplitude(z.re, z.im - h)).total) / (2 * h),
-            ]
-        )
-        scale = max(1.0, float(np.linalg.norm(fd)))
-        grad_err = max(grad_err, float(np.linalg.norm(grad - fd)) / scale)
-        checked += 1
+    points = np.empty((0, 2))
+    while len(points) < 50:
+        draws = rng.uniform(-0.08, 0.08, size=(64, 2))
+        inside = _energy_densities(params, CoherentAmplitude(*draws.T))["in_domain"]
+        points = np.concatenate([points, draws[inside]])
+    points = points[:50]
+    re, im = points.T
+    h = 1e-6
+    # z, -z and the four central-difference neighbours of z in one array pass
+    shifted = CoherentAmplitude(np.concatenate([re, -re, re + h, re - h, re, re]),
+                                np.concatenate([im, -im, im, im, im + h, im - h]))
+    e = _energy_densities(params, shifted)["e_total"].reshape(6, len(points))
+    parity = float(np.max(np.abs(e[0] - e[1])))
+    fd = np.column_stack(((e[2] - e[3]) / (2 * h), (e[4] - e[5]) / (2 * h)))
+    grads = [total_gradient(params, CoherentAmplitude(*z)) for z in points]
+    # np.max keeps a NaN (a neighbour outside the domain), so the check fails instead of skipping it
+    grad_err = float(np.max([np.linalg.norm(g - d) / max(1.0, float(np.linalg.norm(d))) for g, d in zip(grads, fd)]))
     report.add("landscape-parity", parity, 1e-12, "total density even under z -> -z")
     report.add("landscape-gradient", grad_err, 1e-6, "analytic vs central-difference gradient, 50 points")
 
@@ -251,10 +244,10 @@ def _check_kink(report: ValidationReport, params: ModelParams) -> None:
 
 def _check_proportionality(report: ValidationReport) -> None:
     params, z = _reference_state()
-    dense = spectrum(single_particle_matrix(staggered_bonds(params, z)))
+    real_space = ring_spectrum(staggered_bonds(params, z))
     modes = _all_modes(params, z)
     mode_vals = np.hypot(modes.epsilon, modes.delta)
-    positive = np.sort(dense[dense > 0.0])
+    positive = np.sort(real_space[real_space > 0.0])
     mode_sorted = np.sort(mode_vals)[-len(positive):]
     ratios = positive / mode_sorted
     const = float(np.mean(ratios))

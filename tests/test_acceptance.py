@@ -35,8 +35,7 @@ from peierls.model import (
     CoherentAmplitude,
     ModelParams,
     effective_coupling,
-    single_particle_matrix,
-    spectrum,
+    ring_spectrum,
     staggered_bonds,
     staggered_ring_bands,
     state_location,
@@ -89,16 +88,16 @@ def test_criterion_2_spectral_oracle():
     z = amplitude(0.4)
     assert state_location(p, z) == pytest.approx(0.4, rel=1e-15)
     assert effective_coupling(p) == pytest.approx(1.0, rel=1e-15)
-    dense = spectrum(single_particle_matrix(staggered_bonds(p, z)))
+    real_space = ring_spectrum(staggered_bonds(p, z))
     analytic = staggered_ring_bands(p, z)
-    spectral_dev = float(np.max(np.abs(dense - analytic)))
+    spectral_dev = float(np.max(np.abs(real_space - analytic)))
     mode_vals = []
     for k in range(p.big_l):
         m = mode_energies(p, z, k)
         r = math.hypot(m.epsilon, m.delta)
         mode_vals.extend((-r, r))
     modes = np.sort(mode_vals)
-    ratios = dense / modes
+    ratios = real_space / modes
     const = float(np.median(ratios))
     spread = float(np.max(np.abs(ratios / const - 1.0)))
     elapsed = time.perf_counter() - start

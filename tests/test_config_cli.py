@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -112,11 +113,18 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         ("critical-points", "seed_rings=-0.05", "seed_rings must be finite and >= 0"),
         ("dynamics", "settle_tol=nan", "settle_tol must be finite and >= 0"),
         ("dynamics", "settle_tol=-1", "settle_tol must be finite and >= 0"),
+        ("dynamics", "dt=1e308", "dt * steps must be finite"),
+        ("kink-propagate", "kink_dt=1e308 kink_steps=3", "kink_dt * kink_steps must be finite"),
+        ("landscape", "re_min=-1.7e308 re_max=1.7e308 resolution=3", "re_max - re_min must be finite"),
+        ("landscape", "im_min=-1e308 im_max=1e308", "im_max - im_min must be finite"),
     ],
 )
 def test_cli_out_of_range_input_exits_2(tmp_path, capsys, command, setting, message):
     # library range checks raise ValueError; the CLI maps them to exit 2 with one error line
-    rc = main([command, "--reference", "kink_dynamics", "-o", str(tmp_path), "--set", setting])
+    argv = [command, "--reference", "kink_dynamics", "-o", str(tmp_path)]
+    for pair in setting.split():
+        argv += ["--set", pair]
+    rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and message in err
@@ -252,6 +260,21 @@ def test_cli_landscape_resolution_one(tmp_path):
     assert float(re_val) == 0.0 and float(im_val) == 0.0
 
 
+def test_cli_landscape_never_labels_a_non_finite_cell_ok(tmp_path):
+    # a finite span whose outer cells overflow the phonon energy
+    assert main(["landscape", "--reference", "double_well", "-o", str(tmp_path),
+                 "--set", "re_min=-8e307", "--set", "re_max=8e307", "--set", "resolution=3"]) == 0
+    header, *rows = (tmp_path / "landscape.csv").read_text().splitlines()
+    assert header.endswith(",status") and len(rows) == 9
+    statuses = []
+    for row in rows:
+        *cells, status = row.split(",")
+        finite = all(math.isfinite(float(cell)) for cell in cells)
+        assert (status == "ok") == finite and status in ("ok", "non-finite"), row
+        statuses.append(status)
+    assert statuses.count("ok") == 3  # the re = 0 column
+
+
 def test_cli_landscape_metadata_embeds_config(tmp_path):
     assert main(["landscape", "--reference", "double_well", "-o", str(tmp_path),
                  "--set", "resolution=5"]) == 0
@@ -297,6 +320,18 @@ def test_validate_curvature_gate(monkeypatch):
     assert not report.checks[0].passed
 
 
+def test_validate_landscape_gradient_fails_on_a_neighbour_outside_the_domain():
+    import peierls.validate as validate
+
+    # w = -22 brings the domain edge into the sampled square: a central-difference
+    # neighbour of one sampled point lies outside, and its NaN must fail the gate
+    params = load_config(reference_config_path("double_well"), overrides={"w": -22.0, "zeta": 2.0}).model_params()
+    report = validate.ValidationReport()
+    validate._check_landscape(report, params)
+    parity, gradient = report.checks
+    assert parity.passed and not gradient.passed and math.isnan(gradient.measured)
+
+
 def test_cli_spectrum_constant(tmp_path):
     rc = main(["spectrum", "--reference", "double_well", "-o", str(tmp_path),
                "--set", "q=1.0", "--set", "z_re=0.05", "--set", "z_im=0.05"])
@@ -305,6 +340,13 @@ def test_cli_spectrum_constant(tmp_path):
     assert meta["proportionality_constant"] == pytest.approx(2.0, rel=1e-9)
     header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
     assert header == "index,real_space,mode_value"
+
+
+def test_cli_spectrum_smallest_ring(tmp_path):
+    # L = 1: both bonds join sites 0 and 1
+    assert main(["spectrum", "--reference", "double_well", "-o", str(tmp_path), "--set", "big_l=1"]) == 0
+    header, *rows = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert header == "index,real_space,mode_value" and len(rows) == 2
 
 
 def test_cli_dynamics_fixed_point_constant_trajectory(tmp_path):
@@ -328,6 +370,14 @@ def test_cli_dynamics_e_total_is_total_density_at_z_half_x(tmp_path):
         _, x, _, e_total = map(float, row.split(","))
         expected = total_density(params, CoherentAmplitude(0.5 * x, 0.5 * x)).total
         assert e_total == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_cli_kink_spectrum_overflowing_z_exits_2_without_a_warning(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["kink-spectrum", "--reference", "kink_dynamics", "-o", str(tmp_path), "--set", "z_re=1e308"])
+    assert rc == 2
+    assert "kink bonds g exp(+-loc) overflow" in capsys.readouterr().err
 
 
 def test_cli_kink_spectrum(tmp_path):
@@ -437,6 +487,7 @@ def fuzz_setting(draw):
 )
 @example(command="spectrum", reference=None, pairs=["zeta=30"])  # exp overflows: exit 3
 @example(command="kink-spectrum", reference="kink_dynamics", pairs=["z_re=1e308"])  # non-finite chain: exit 2
+@example(command="critical-points", reference=None, pairs=["zeta=2.225073858507e-311"])  # zeta^2 underflows: exit 0
 def test_cli_fuzz_exits_0_2_or_3(tmp_path_factory, command, reference, pairs):
     # any config gives a documented exit code, never a traceback; runs in-process
     argv = [command, "-o", str(tmp_path_factory.mktemp("fuzz"))]

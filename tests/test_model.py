@@ -1,4 +1,4 @@
-"""Chain kinematics: staggered bonds, dense spectra, analytic ring bands."""
+"""Chain kinematics: staggered bonds, the banded ring spectrum against a dense oracle, analytic ring bands."""
 
 import math
 
@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 from peierls.model import (
     CoherentAmplitude,
     ModelParams,
+    HoppingChain,
     effective_coupling,
-    single_particle_matrix,
-    spectrum,
+    ring_spectrum,
     staggered_bonds,
     staggered_ring_bands,
     state_location,
@@ -25,6 +25,23 @@ def g_one_params(big_l=64):
 
 def amplitude_for_location(params, loc):
     return CoherentAmplitude(loc / (2.0 * math.sqrt(2.0) * params.zeta), 0.0)
+
+
+def single_particle_matrix(chain):
+    """Dense oracle for `ring_spectrum`: -A_j on the (j, j+1 mod n) off-diagonals, bond by bond."""
+    n = chain.n_sites
+    h = np.zeros((n, n))
+    for j, a in enumerate(chain.bonds):
+        k = (j + 1) % n
+        h[j, k] -= a
+        h[k, j] -= a
+    return h
+
+
+def assert_matches_dense_oracle(chain):
+    banded = ring_spectrum(chain)
+    dense = np.linalg.eigvalsh(single_particle_matrix(chain))
+    assert np.max(np.abs(banded - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_param_validation():
@@ -56,8 +73,7 @@ def test_undimerized_bonds_all_equal_g():
     p = ModelParams(t=0.5, zeta=1.0, kappa=0.5, big_l=8)
     chain = staggered_bonds(p, CoherentAmplitude(0.0, 0.0))
     g = effective_coupling(p)
-    assert chain.boundary == "periodic"
-    assert len(chain.bonds) == 16
+    assert len(chain.bonds) == chain.n_sites == 16
     assert all(b == pytest.approx(g, rel=1e-15) for b in chain.bonds)
 
 
@@ -86,16 +102,34 @@ def test_single_particle_matrix_symmetric_periodic():
 def test_spectrum_matches_analytic_ring_bands():
     p = g_one_params(big_l=64)
     z = amplitude_for_location(p, 0.4)
-    dense = spectrum(single_particle_matrix(staggered_bonds(p, z)))
+    real_space = ring_spectrum(staggered_bonds(p, z))
     analytic = staggered_ring_bands(p, z)
-    assert np.max(np.abs(dense - analytic)) < 1e-12
+    assert np.max(np.abs(real_space - analytic)) < 1e-12
 
 
 def test_spectrum_symmetric_about_zero():
     p = g_one_params(big_l=16)
     z = amplitude_for_location(p, 0.7)
-    dense = spectrum(single_particle_matrix(staggered_bonds(p, z)))
-    assert np.max(np.abs(dense + dense[::-1])) < 1e-12
+    real_space = ring_spectrum(staggered_bonds(p, z))
+    assert np.max(np.abs(real_space + real_space[::-1])) < 1e-12
+
+
+@pytest.mark.parametrize("loc", [0.0, 0.4])  # gapless, with exact zero modes at even L; gapped
+@pytest.mark.parametrize("big_l", [1, 2, 3, 64, 512])
+def test_ring_spectrum_matches_dense_oracle(big_l, loc):
+    p = g_one_params(big_l=big_l)
+    assert_matches_dense_oracle(staggered_bonds(p, amplitude_for_location(p, loc)))
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda half: st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2 * half, max_size=2 * half)))
+def test_ring_spectrum_matches_dense_oracle_on_any_positive_bonds(bonds):
+    assert_matches_dense_oracle(HoppingChain(bonds=tuple(bonds)))
+
+
+def test_ring_spectrum_rejects_non_finite_bonds():
+    with pytest.raises(ValueError, match="non-finite"):
+        ring_spectrum(HoppingChain(bonds=(1.0, math.inf)))
 
 
 @given(st.floats(min_value=-0.8, max_value=0.8))
