@@ -156,14 +156,10 @@ def cmd_dynamics(config: RunConfig, args: argparse.Namespace) -> int:
         print("error: trajectory became non-finite", file=sys.stderr)
         return EXIT_NUMERICAL
     out = _out_dir(args)
-    x = np.array([s.x for s in traj.states])
+    x = np.array(traj.x)
     half = CoherentAmplitude(0.5 * x, 0.5 * x)  # type: ignore[arg-type]
     e_total = _energy_densities(config.model_params(), half)["e_total"]
-    _write_csv(
-        out / "trajectory.csv",
-        ["t", "x", "v", "e_total"],
-        [[s.t for s in traj.states], x, [s.v for s in traj.states], e_total],
-    )
+    _write_csv(out / "trajectory.csv", ["t", "x", "v", "e_total"], [traj.t, x, traj.v, e_total])
     _write_metadata(
         out / "trajectory.json",
         "dynamics",

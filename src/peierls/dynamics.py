@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .landscape import DomainError, _electronic_slopes
+from .landscape import DomainError, _slope_kernel
 from .model import ModelParams
 
 __all__ = [
@@ -38,46 +39,60 @@ class PhaseState:
 
 @dataclass
 class Trajectory:
-    states: list[PhaseState]
+    t: list[float]
+    x: list[float]
+    v: list[float]
     termination: str = "completed"
 
     @property
+    def states(self) -> list[PhaseState]:
+        return list(map(PhaseState, self.x, self.v, self.t))
+
+    @property
     def final(self) -> PhaseState:
-        return self.states[-1]
+        return PhaseState(self.x[-1], self.v[-1], self.t[-1])
 
 
-def _kernel(params: ModelParams, x: float, p: float) -> tuple[float, float]:
-    """P(x, p) and its slope dP/dx at fixed p from one `landscape._electronic_slopes` call."""
+def _drive(params: ModelParams) -> Callable[[float, float], tuple[float, float]]:
+    """`drive(x, p)` -> P(x, p) and dP/dx at fixed p from one call of a `_slope_kernel` built once."""
+    slopes = _slope_kernel(params)
     zeta, kappa = params.zeta, params.kappa
-    d1, d2 = _electronic_slopes(params, math.sqrt(2.0) * (zeta * x + kappa * p))
-    # du/dx = sqrt(2) zeta; with zeta = 0 P does not depend on x (and d2 may be -inf)
-    return -(2.0 * math.sqrt(2.0) / math.pi) * d1, (-(4.0 * zeta / math.pi) * d2 if zeta else 0.0)
+
+    def drive(x: float, p: float) -> tuple[float, float]:
+        d1, d2 = slopes(math.sqrt(2.0) * (zeta * x + kappa * p))
+        # du/dx = sqrt(2) zeta; with zeta = 0 P does not depend on x (and d2 may be -inf)
+        return -(2.0 * math.sqrt(2.0) / math.pi) * d1, (-(4.0 * zeta / math.pi) * d2 if zeta else 0.0)
+
+    return drive
+
+
+def _acceleration(drive: Callable[[float, float], tuple[float, float]], x: float, v: float) -> float:
+    """dv/dt = (x - P)(1 - P_x) - v P_x of the restricted oscillator, with P evaluated at p = x."""
+    pval, px = drive(x, x)
+    px = 0.0 if math.isinf(px) else px  # u = 0: the cusp's log singularity is integrable; a stage sample takes slope 0
+    return (x - pval) * (1.0 - px) - v * px
 
 
 def script_p(params: ModelParams, x: float, p: float) -> float:
     """The drive kernel P(x, p) = -(2*sqrt(2)/pi) * dE_el/d(loc) at loc = u.
 
     u = sqrt(2)*(zeta*x + kappa*p) and dE_el/d(loc) is the slope of the
-    continuum electronic density (`landscape._electronic_slopes`), which
+    continuum electronic density (`landscape._slope_kernel`), which
     raises `DomainError` where m = 1 - xi*tanh(u)^2 leaves [-1, 1].  In the
     hypergeometric normalization this is the originally written form
     (4*sqrt(2)*g/pi) * sinh(u)/(xi*(q+1/q)) * (E(m) - xi*(E(m)-F(m))/(m*cosh(u)^2)).
     """
-    return _kernel(params, x, p)[0]
+    return _drive(params)(x, p)[0]
 
 
 def script_p_x(params: ModelParams, x: float, p: float) -> float:
     """Partial dP/dx at fixed p, -(4 zeta/pi) d2E_el/d(loc)2 at loc = u; +inf at u = 0."""
-    return _kernel(params, x, p)[1]
+    return _drive(params)(x, p)[1]
 
 
 def ode_rhs(params: ModelParams, state: PhaseState) -> tuple[float, float]:
     """(dx/dt, dv/dt) of the restricted oscillator, with P evaluated at p = x."""
-    x, v = state.x, state.v
-    pval, px = _kernel(params, x, x)
-    if math.isinf(px):  # u = 0: the cusp's log singularity is integrable; a stage sample takes slope 0 there
-        px = 0.0
-    return v, (x - pval) * (1.0 - px) - v * px
+    return state.v, _acceleration(_drive(params), state.x, state.v)
 
 
 def fixed_point_branches(params: ModelParams, x: float, tol: float = 1e-8) -> tuple[bool, bool]:
@@ -86,7 +101,7 @@ def fixed_point_branches(params: ModelParams, x: float, tol: float = 1e-8) -> tu
     Returns (x equals the kernel value, kernel slope equals one); a point
     with both False is not a fixed point of the restricted oscillator.
     """
-    pval, px = _kernel(params, x, x)
+    pval, px = _drive(params)(x, x)
     return abs(x - pval) < tol, abs(px - 1.0) < tol
 
 
@@ -105,26 +120,31 @@ def integrate(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    drive = _drive(params)
     x, v, t = initial.x, initial.v, initial.t
-    states = [PhaseState(x, v, t)]
-    termination = "completed"
+    traj = Trajectory(t=[t], x=[x], v=[v])
     for _ in range(steps):
         try:
-            k1x, k1v = ode_rhs(params, PhaseState(x, v, t))
-            k2x, k2v = ode_rhs(params, PhaseState(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v, t))
-            k3x, k3v = ode_rhs(params, PhaseState(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v, t))
-            k4x, k4v = ode_rhs(params, PhaseState(x + dt * k3x, v + dt * k3v, t))
+            a1 = _acceleration(drive, x, v)
+            v2 = v + 0.5 * dt * a1
+            a2 = _acceleration(drive, x + 0.5 * dt * v, v2)
+            v3 = v + 0.5 * dt * a2
+            a3 = _acceleration(drive, x + 0.5 * dt * v2, v3)
+            v4 = v + dt * a3
+            a4 = _acceleration(drive, x + dt * v3, v4)
         except DomainError:
-            termination = "domain-exit"
+            traj.termination = "domain-exit"
             break
-        x += dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
-        v += dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        x += dt * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+        v += dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
         t += dt
         if not (math.isfinite(x) and math.isfinite(v)):
-            termination = "non-finite"
+            traj.termination = "non-finite"
             break
-        states.append(PhaseState(x, v, t))
-        if settle_tol is not None and abs(v) < settle_tol and abs(k1v) < settle_tol:
-            termination = "settled"
+        traj.t.append(t)
+        traj.x.append(x)
+        traj.v.append(v)
+        if settle_tol is not None and abs(v) < settle_tol and abs(a1) < settle_tol:
+            traj.termination = "settled"
             break
-    return Trajectory(states=states, termination=termination)
+    return traj

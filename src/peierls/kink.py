@@ -248,7 +248,8 @@ def propagate_kink(
     w0, _, v0, _ = factors(n + initial_anchor_offset) if initial_anchor_offset else (w, s, v, weights)
     flat[0::2, 0::2] = w0[:, :n_filled] / math.sqrt(2.0)  # real parts
     flat[1::2, 0::2] = -v0 / math.sqrt(2.0)
-    phonon = phonon_energy_total(z0, n_sites / 2)  # n_sites / 2 cells
+    if not math.isfinite(phonon := phonon_energy_total(z0, n_sites / 2)):  # n_sites / 2 cells
+        raise ValueError(f"phonon energy of z = ({z0.re}, {z0.im}) is not finite")
 
     traj = KinkTrajectory(times=[], positions=[], energies=[], anchors=[])
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
-from scipy.special import ellipe, ellipkm1
+from scipy.special import cython_special, ellipe
 
 from .algebra import deformed_mode_matrix, mode_eigenvalues, mode_energies, xi
 from .model import CoherentAmplitude, ModelParams, effective_coupling, state_location
@@ -74,33 +74,36 @@ def electronic_density_continuum(params: ModelParams, z: CoherentAmplitude) -> f
     return total_density(params, z).electronic
 
 
-def _electronic_slopes(params: ModelParams, loc: float) -> tuple[float, float]:
-    """dE_el/d(loc) = -p_q sinh (E - 2 xi_q E_m / cosh^2) and d2E_el/d(loc)2 =
-    -p_q (cosh E - 2 xi_q (E_m - 2 p E_mm) / cosh^3) from one E, K pair, with E_m = dE/dm,
-    p_q = (2/pi) g q^w and p = 1 - m = xi_q tanh(loc)^2 formed directly (K = ellipkm1(p)), so
-    m -> 1 neither cancels nor divides by p.  At p = 0 (loc = 0) they are 0 and -inf, the
-    Delta^2 ln Delta cusp of the Peierls energy."""
+def _slope_kernel(params: ModelParams) -> Callable[[float], tuple[float, float]]:
+    """`slopes(loc)` -> (dE_el/d(loc), d2E_el/d(loc)2) = -p_q (sinh (E - 2 xi_q E_m / cosh^2), cosh E
+    - 2 xi_q (E_m - 2 p E_mm) / cosh^3), E_m = dE/dm, xi_q and p_q = (2/pi) g q^w computed once, E(m) and
+    K = ellipkm1(p) from ``cython_special`` (no ufunc dispatch), p = 1 - m = xi_q tanh(loc)^2 formed directly so
+    m -> 1 neither cancels nor divides by p.  At p = 0 (loc = 0) they are 0 and -inf, the Delta^2 ln Delta cusp."""
     xq = xi(params.q, params.w)
-    th = math.tanh(loc)
-    p = xq * th * th
-    if p == 0.0:
-        return 0.0, -math.inf
-    m = _check_finite(1.0 - p)
-    if abs(m) > 1.0:
-        raise DomainError(f"elliptic parameter m={m} outside [-1, 1]; state location beyond convergence bound")
-    e = float(ellipe(m))
-    e_m, p_e_mm = _e_derivatives(m, p, e, float(ellipkm1(p)))
-    ch = math.cosh(loc)
     pref = (2.0 / math.pi) * effective_coupling(params) * params.q**params.w
-    d2 = -pref * (ch * e - 2.0 * xq * (e_m - 2.0 * p_e_mm) / (ch * ch * ch))
-    return -pref * math.sinh(loc) * (e - 2.0 * xq * e_m / (ch * ch)), d2
+
+    def slopes(loc: float) -> tuple[float, float]:
+        th = math.tanh(loc)
+        p = xq * th * th
+        if p == 0.0:
+            return 0.0, -math.inf
+        m = _check_finite(1.0 - p)
+        if abs(m) > 1.0:
+            raise DomainError(f"elliptic parameter m={m} outside [-1, 1]; state location beyond convergence bound")
+        e = cython_special.ellipe(m)
+        e_m, p_e_mm = _e_derivatives(m, p, e, cython_special.ellipkm1(p))
+        ch = math.cosh(loc)
+        d2 = -pref * (ch * e - 2.0 * xq * (e_m - 2.0 * p_e_mm) / (ch * ch * ch))
+        return -pref * math.sinh(loc) * (e - 2.0 * xq * e_m / (ch * ch)), d2
+
+    return slopes
 
 
-def _gradient_and_hessian(params: ModelParams, z: CoherentAmplitude) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the total density w.r.t. (Re z, Im z) from one `_electronic_slopes`
-    call: the phonon diagonal plus 8 d2E_el/d(loc)2 (zeta, kappa)^T (zeta, kappa)."""
+def _gradient_and_hessian(params: ModelParams, slopes: Callable, z: CoherentAmplitude) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the total density w.r.t. (Re z, Im z) from one `slopes` call
+    (a `_slope_kernel` of `params`): the phonon diagonal plus 8 d2E_el/d(loc)2 (zeta, kappa)^T (zeta, kappa)."""
     (c_re, c_im), zeta, kappa = _PHONON_CURVATURES, params.zeta, params.kappa
-    d1, d2 = _electronic_slopes(params, state_location(params, z))
+    d1, d2 = slopes(state_location(params, z))
     g = d1 * 2.0 * math.sqrt(2.0)
     c = 8.0 * d2 if zeta * zeta + kappa * kappa else 0.0  # both ~0: loc = 0 (d2 = -inf) at every z, drops out
     grad = np.array([c_re * z.re + g * zeta, c_im * z.im + g * kappa])
@@ -110,7 +113,7 @@ def _gradient_and_hessian(params: ModelParams, z: CoherentAmplitude) -> tuple[np
 
 def total_gradient(params: ModelParams, z: CoherentAmplitude) -> np.ndarray:
     """Analytic gradient of the total density w.r.t. (Re z, Im z)."""
-    return _gradient_and_hessian(params, z)[0]
+    return _gradient_and_hessian(params, _slope_kernel(params), z)[0]
 
 
 def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> float:
@@ -196,6 +199,7 @@ class CriticalPoints(list):
     seeds: dict[str, int]
 
 
+@np.errstate(over="ignore")  # at large zeta far seeds' gradient norms overflow to inf, which still orders as a norm
 def find_critical_points(
     params: ModelParams,
     seeds: Iterable[tuple[float, float]] | Sequence[CoherentAmplitude],
@@ -214,6 +218,7 @@ def find_critical_points(
     `max_step` caps the Newton step length (trust radius), keeping each
     seed attached to its local basin instead of jumping to far saddles.
     """
+    slopes = _slope_kernel(params)
     found = CriticalPoints()
     found.seeds = dict.fromkeys(("tried", "converged", "skipped", "deduplicated"), 0)
 
@@ -228,7 +233,7 @@ def find_critical_points(
             pt = np.array(seed, dtype=float)
         converged = False
         try:
-            grad, hess = _gradient_and_hessian(params, CoherentAmplitude(*pt))
+            grad, hess = _gradient_and_hessian(params, slopes, CoherentAmplitude(*pt))
             for _ in range(max_iter):
                 gnorm = float(np.linalg.norm(grad))
                 if gnorm < tol or known(pt):
@@ -247,7 +252,7 @@ def find_critical_points(
                 for _ in range(40):
                     trial = pt + lam * step
                     try:
-                        gt, ht = _gradient_and_hessian(params, CoherentAmplitude(*trial))
+                        gt, ht = _gradient_and_hessian(params, slopes, CoherentAmplitude(*trial))
                     except DomainError:
                         lam *= 0.5
                         continue

@@ -305,6 +305,23 @@ def test_cli_critical_points_reports_seeds_and_cusp(tmp_path):
     assert saddle.split(",")[0] == "saddle" and saddle.split(",")[4] == "-inf"
 
 
+def test_cli_critical_points_at_large_zeta_warns_nothing(tmp_path):
+    # far seeds' gradient norms overflow to inf; only the origin saddle remains
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["critical-points", "-o", str(tmp_path), "--set", "zeta=19"]) == 0
+    meta = json.loads((tmp_path / "critical_points.json").read_text())
+    assert meta["seeds"] == {"tried": 17, "converged": 5, "skipped": 12, "deduplicated": 4}
+    assert (tmp_path / "critical_points.csv").read_text().splitlines()[1:] == ["saddle,0.0,0.0,0.0,-inf,4.0"]
+
+
+def test_cli_critical_points_overflowing_slope_prefactor_exits_3(tmp_path, capsys):
+    # g = t exp(zeta^2 + kappa^2) overflows: the slope kernel fails when it is built,
+    # even though the only seed sits at loc = 0, where the slope is 0 without it
+    assert main(["critical-points", "-o", str(tmp_path), "--set", "zeta=30", "--set", "seed_rings=0"]) == 3
+    assert "numerical error: math range error" in capsys.readouterr().err
+
+
 def test_validate_curvature_gate(monkeypatch):
     import peierls.validate as validate
 
@@ -313,8 +330,13 @@ def test_validate_curvature_gate(monkeypatch):
     (check,) = report.checks
     assert check.name == "landscape-curvature" and check.passed and check.measured < 1e-7
     # a curvature off by 1e-5 relative must fail the gate
-    slopes = validate._electronic_slopes
-    monkeypatch.setattr(validate, "_electronic_slopes", lambda p, loc: (slopes(p, loc)[0], 1.00001 * slopes(p, loc)[1]))
+    kernel = validate._slope_kernel
+
+    def off_kernel(params):
+        slopes = kernel(params)
+        return lambda loc: (slopes(loc)[0], 1.00001 * slopes(loc)[1])
+
+    monkeypatch.setattr(validate, "_slope_kernel", off_kernel)
     report = validate.ValidationReport()
     validate._check_curvature(report)
     assert not report.checks[0].passed
@@ -330,6 +352,20 @@ def test_validate_landscape_gradient_fails_on_a_neighbour_outside_the_domain():
     validate._check_landscape(report, params)
     parity, gradient = report.checks
     assert parity.passed and not gradient.passed and math.isnan(gradient.measured)
+
+
+def test_validate_landscape_checks_fail_when_no_draw_is_in_the_domain(tmp_path, capsys):
+    # at w = -200 the domain misses the sampled square: the draw stops after
+    # 1,024 pairs and both landscape checks read NaN and fail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["validate", "--reference", "double_well", "-o", str(tmp_path),
+                   "--set", "zeta=2", "--set", "w=-200"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL landscape-parity: measured nan (threshold 1.0e-12)" in lines
+    assert "FAIL landscape-gradient: measured nan (threshold 1.0e-06)" in lines
+    assert sum(line.startswith("FAIL") for line in lines) == 2
 
 
 def test_cli_spectrum_constant(tmp_path):
@@ -378,6 +414,16 @@ def test_cli_kink_spectrum_overflowing_z_exits_2_without_a_warning(tmp_path, cap
         rc = main(["kink-spectrum", "--reference", "kink_dynamics", "-o", str(tmp_path), "--set", "z_re=1e308"])
     assert rc == 2
     assert "kink bonds g exp(+-loc) overflow" in capsys.readouterr().err
+
+
+def test_cli_kink_propagate_non_finite_phonon_energy_exits_2_without_a_warning(tmp_path, capsys):
+    # with zeta = kappa = 0 the bonds do not bound z, so the phonon energy does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["kink-propagate", "--reference", "kink_dynamics", "-o", str(tmp_path), "--set", "zeta=0",
+                   "--set", "kappa=0", "--set", "z_re=1e200", "--set", "kink_steps=2"])
+    assert rc == 2
+    assert "phonon energy of z = (1e+200, " in capsys.readouterr().err
 
 
 def test_cli_kink_spectrum(tmp_path):
@@ -479,6 +525,7 @@ def fuzz_setting(draw):
     return f"{key}={value}"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(
     command=st.sampled_from(sorted(set(COMMANDS) - {"validate"})),

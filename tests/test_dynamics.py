@@ -16,7 +16,7 @@ from peierls.dynamics import (
     script_p,
     script_p_x,
 )
-from peierls.landscape import DomainError, _electronic_slopes, find_critical_points
+from peierls.landscape import DomainError, _slope_kernel, find_critical_points
 from peierls.model import ModelParams
 
 
@@ -58,7 +58,7 @@ def test_kernel_is_scaled_landscape_slope():
     params = reference_params()
     for x, p in ((0.05, 0.02), (0.2, -0.1), (-0.3, 0.25)):
         loc = math.sqrt(2.0) * (params.zeta * x + params.kappa * p)
-        expected = -(2.0 * math.sqrt(2.0) / math.pi) * _electronic_slopes(params, loc)[0]
+        expected = -(2.0 * math.sqrt(2.0) / math.pi) * _slope_kernel(params)(loc)[0]
         assert script_p(params, x, p) == pytest.approx(expected, rel=1e-12)
 
 
@@ -103,11 +103,33 @@ def test_kernel_slope_matches_central_difference():
 
 def test_integrate_evaluates_the_kernel_once_per_rk4_stage(monkeypatch):
     params = reference_params()
-    calls = []
-    slopes = peierls.dynamics._electronic_slopes
-    monkeypatch.setattr(peierls.dynamics, "_electronic_slopes", lambda *a: calls.append(a) or slopes(*a))
+    builds, calls = [], []
+    kernel = peierls.dynamics._slope_kernel
+
+    def counted_kernel(params):
+        builds.append(params)
+        slopes = kernel(params)
+        return lambda loc: calls.append(loc) or slopes(loc)
+
+    monkeypatch.setattr(peierls.dynamics, "_slope_kernel", counted_kernel)
     traj = integrate(params, PhaseState(0.03, 0.0), dt=0.01, steps=25)
-    assert len(traj.states) == 26 and len(calls) == 4 * 25
+    assert len(traj.states) == 26 and len(calls) == 4 * 25 and len(builds) == 1
+
+
+@pytest.mark.parametrize("x, v", [(0.03, 0.0), (-0.05, 0.02), (0.0, 0.1)])
+def test_one_integrate_step_is_a_hand_rk4_step_of_ode_rhs(x, v):
+    # bit for bit: the float stages of `integrate` are the public right-hand side;
+    # (0, 0.1) samples the cusp at loc = 0 in its first stage
+    params, dt = reference_params(), 0.01
+    k1 = ode_rhs(params, PhaseState(x, v))
+    k2 = ode_rhs(params, PhaseState(x + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1]))
+    k3 = ode_rhs(params, PhaseState(x + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1]))
+    k4 = ode_rhs(params, PhaseState(x + dt * k3[0], v + dt * k3[1]))
+    traj = integrate(params, PhaseState(x, v), dt, steps=1)
+    assert traj.states == [PhaseState(x, v), traj.final]
+    assert traj.final.x == x + dt * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
+    assert traj.final.v == v + dt * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
+    assert traj.final.t == dt
 
 
 def test_start_on_cusp_with_velocity_settles():

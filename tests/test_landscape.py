@@ -12,8 +12,8 @@ from peierls.algebra import xi
 from peierls.config import load_config, reference_config_path
 from peierls.landscape import (
     DomainError,
-    _electronic_slopes,
     _energy_densities,
+    _slope_kernel,
     electronic_density_continuum,
     electronic_density_modesum,
     find_critical_points,
@@ -93,7 +93,7 @@ def test_analytic_d_loc_matches_finite_difference():
             electronic_density_continuum(p, amplitude(loc + h))
             - electronic_density_continuum(p, amplitude(loc - h))
         ) / (2.0 * h)
-        assert _electronic_slopes(p, loc)[0] == pytest.approx(fd, rel=1e-6)
+        assert _slope_kernel(p)(loc)[0] == pytest.approx(fd, rel=1e-6)
 
 
 def _mpmath_slopes(params, loc):
@@ -113,11 +113,11 @@ def test_slopes_match_mpmath_at_small_loc(loc):
     # m = 1 - xi tanh^2 rounds towards 1 here; p = xi tanh^2 and K = ellipkm1(p)
     # keep the loc ln(1/loc) term of the slope and the ln(1/loc) of the curvature
     params = load_config(reference_config_path("kink_dynamics")).model_params()
-    d1, d2 = _electronic_slopes(params, loc)
+    d1, d2 = _slope_kernel(params)(loc)
     o1, o2 = _mpmath_slopes(params, loc)
     assert d1 == pytest.approx(o1, rel=1e-13)
     assert d2 == pytest.approx(o2, rel=1e-13)
-    assert _electronic_slopes(params, -loc)[0] == -d1
+    assert _slope_kernel(params)(-loc)[0] == -d1
 
 
 @pytest.mark.parametrize("m", [2.4e-3, -2.4e-3, 2.6e-3, -2.6e-3, 0.02, -0.02, -0.3])
@@ -125,7 +125,7 @@ def test_slopes_match_mpmath_near_m_zero(m):
     # both sides of the series branch of `special._e_derivatives` (|m| < 2.5e-3)
     params = load_config(reference_config_path("kink_dynamics")).model_params()
     loc = math.atanh(math.sqrt((1.0 - m) / xi(params.q, params.w)))
-    d1, d2 = _electronic_slopes(params, loc)
+    d1, d2 = _slope_kernel(params)(loc)
     o1, o2 = _mpmath_slopes(params, loc)
     assert d1 == pytest.approx(o1, rel=1e-13)
     assert d2 == pytest.approx(o2, rel=5e-11)
@@ -142,17 +142,17 @@ def test_curvature_matches_five_point_difference_of_slope(qw, fraction, sign):
     reach = min(3.0, domain_limit(params))  # xi > 2 (w = -3) bounds loc; m < 0 beyond tanh^2 = 1/xi
     loc = sign * fraction * reach
     h = 1e-3 * min(abs(loc), 1.0)
-    f = [_electronic_slopes(params, loc + k * h)[0] for k in (-2, -1, 1, 2)]
+    f = [_slope_kernel(params)(loc + k * h)[0] for k in (-2, -1, 1, 2)]
     fd = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
-    assert _electronic_slopes(params, loc)[1] == pytest.approx(fd, rel=1e-8, abs=1e-10)
+    assert _slope_kernel(params)(loc)[1] == pytest.approx(fd, rel=1e-8, abs=1e-10)
 
 
 def test_origin_slope_zero_and_curvature_minus_infinity():
     params = load_config(reference_config_path("kink_dynamics")).model_params()
-    assert _electronic_slopes(params, 0.0) == (0.0, -math.inf)
-    assert _electronic_slopes(params, 1e-9)[1] < _electronic_slopes(params, 1e-6)[1] < 0.0
+    assert _slope_kernel(params)(0.0) == (0.0, -math.inf)
+    assert _slope_kernel(params)(1e-9)[1] < _slope_kernel(params)(1e-6)[1] < 0.0
     with pytest.raises(ValueError, match="finite"):
-        _electronic_slopes(params, math.nan)
+        _slope_kernel(params)(math.nan)
 
 
 @pytest.mark.parametrize(
@@ -322,15 +322,21 @@ def test_critical_point_seed_counts():
 
 
 def test_newton_hessian_reuses_the_gradient_evaluation(monkeypatch):
-    # one `_electronic_slopes` call per trial point gives both gradient and
-    # Hessian; neither the iteration nor the classification adds any
+    # one call of the search's one slope kernel per trial point gives both
+    # gradient and Hessian; neither the iteration nor the classification adds any
     cfg, p = double_well_params()
-    calls = []
-    slopes = peierls.landscape._electronic_slopes
-    monkeypatch.setattr(peierls.landscape, "_electronic_slopes", lambda *a: calls.append(a) or slopes(*a))
+    builds, calls = [], []
+    kernel = peierls.landscape._slope_kernel
+
+    def counted_kernel(params):
+        builds.append(params)
+        slopes = kernel(params)
+        return lambda loc: calls.append(loc) or slopes(loc)
+
+    monkeypatch.setattr(peierls.landscape, "_slope_kernel", counted_kernel)
     monkeypatch.setattr(peierls.landscape, "total_gradient", None)
     find_critical_points(p, [(0.1, 0.1)], max_iter=1)
-    assert len(calls) == 2  # the seed, then one full Newton step, accepted
+    assert len(builds) == 1 and len(calls) == 2  # the seed, then one full Newton step, accepted
     calls.clear()
     (point,) = find_critical_points(p, [(0.0, 0.0)])
     assert point.kind == "saddle" and len(calls) == 1
