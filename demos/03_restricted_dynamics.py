@@ -7,14 +7,7 @@ the attractor where the drive kernel has unit slope - the dynamical
 counterpart of the landscape's off-origin minimum.
 """
 
-from peierls import (
-    PhaseState,
-    fixed_point_branches,
-    integrate,
-    load_config,
-    reference_config_path,
-    script_p,
-)
+from peierls import PhaseState, drive_kernel, integrate, load_config, reference_config_path
 
 
 def main() -> None:
@@ -32,10 +25,11 @@ def main() -> None:
     final = traj.final
     print(f"{final.t:8.2f} {final.x:12.8f} {final.v:12.4e}  <- {traj.termination}")
 
-    on_kernel, unit_slope = fixed_point_branches(params, final.x, tol=1e-6)
+    pval, px = drive_kernel(params)(final.x, final.x)
+    on_kernel, unit_slope = abs(final.x - pval) < 1e-6, abs(px - 1.0) < 1e-6
     print(f"\nfixed-point branch at x = {final.x:.8f}: "
           f"x = P(x,x): {on_kernel}, P_x(x,x) = 1: {unit_slope}")
-    print(f"kernel value P(x,x) = {script_p(params, final.x, final.x):.8f} (> x: drive still pulls outward,")
+    print(f"kernel value P(x,x) = {pval:.8f} (> x: drive still pulls outward,")
     print("balanced by the unit-slope damping branch - a genuinely non-linear attractor)")
 
 

@@ -12,21 +12,12 @@ from .algebra import (
     xi,
 )
 from .config import ConfigError, RunConfig, load_config, reference_config_path
-from .dynamics import (
-    PhaseState,
-    Trajectory,
-    fixed_point_branches,
-    integrate,
-    ode_rhs,
-    script_p,
-    script_p_x,
-)
+from .dynamics import PhaseState, Trajectory, drive_kernel, integrate
 from .kink import (
     KinkConfiguration,
     KinkTrajectory,
     bond_order,
     difference_operator,
-    kink_matrix,
     kink_position,
     kink_spectrum,
     propagate_kink,
@@ -47,7 +38,6 @@ from .landscape import (
 )
 from .model import (
     CoherentAmplitude,
-    HoppingChain,
     ModelParams,
     effective_coupling,
     ring_spectrum,

@@ -52,7 +52,6 @@ class ModeEnergies:
     Each field is a scalar or an array shaped like the index k.
     """
 
-    k: int | np.ndarray
     epsilon: float | np.ndarray
     delta: float | np.ndarray
 
@@ -64,7 +63,6 @@ def mode_energies(params: ModelParams, z: CoherentAmplitude, k: int | np.ndarray
     loc = state_location(params, z)
     theta = np.pi * k / params.big_l
     return ModeEnergies(
-        k=k,
         epsilon=g * math.cosh(loc) * np.cos(theta),
         delta=g * math.sinh(loc) * np.sin(theta),
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -64,7 +63,7 @@ def _write_metadata(path: Path, command: str, config: RunConfig, extra: dict[str
         "config": config.as_dict(),
         **extra,
     }
-    path.write_bytes((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii"))
+    path.write_bytes((json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("ascii"))
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -128,7 +127,7 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
     r = np.hypot(m.epsilon, m.delta)
     modes = np.sort(np.concatenate((-r, r)))
     nonzero = np.abs(modes) > 1e-300
-    constant = float(np.median(real_space[nonzero] / modes[nonzero])) if nonzero.any() else math.nan
+    constant = float(np.median(real_space[nonzero] / modes[nonzero])) if nonzero.any() else None
     out = _out_dir(args)
     _write_csv(
         out / "spectrum.csv",

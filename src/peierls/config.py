@@ -85,8 +85,8 @@ class RunConfig:
         if not (math.isfinite(self.hysteresis) and self.hysteresis >= 0):
             raise ConfigError(f"hysteresis must be finite and >= 0, got {self.hysteresis}")
         for name in ("dt", "kink_dt", "newton_tol", "max_step"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not (math.isfinite(self.settle_tol) and self.settle_tol >= 0):
             raise ConfigError(f"settle_tol must be finite and >= 0, got {self.settle_tol}")
         for name in ("z_re", "z_im", "x0", "v0", "re_min", "re_max", "im_min", "im_max"):

@@ -1,7 +1,7 @@
 """Semiclassical phase-space dynamics of the staggering amplitude.
 
-`script_p` is the non-linear drive/damping kernel of the restricted
-equation of motion along x = p,
+`drive_kernel` builds the non-linear drive/damping kernel P(x, p) of the
+restricted equation of motion along x = p,
 
     x'' = (x - P)(1 - P_x) - x' P_x ,
 
@@ -22,10 +22,7 @@ from .model import ModelParams
 __all__ = [
     "PhaseState",
     "Trajectory",
-    "script_p",
-    "script_p_x",
-    "ode_rhs",
-    "fixed_point_branches",
+    "drive_kernel",
     "integrate",
 ]
 
@@ -53,8 +50,17 @@ class Trajectory:
         return PhaseState(self.x[-1], self.v[-1], self.t[-1])
 
 
-def _drive(params: ModelParams) -> Callable[[float, float], tuple[float, float]]:
-    """`drive(x, p)` -> P(x, p) and dP/dx at fixed p from one call of a `_slope_kernel` built once."""
+def drive_kernel(params: ModelParams) -> Callable[[float, float], tuple[float, float]]:
+    """`drive(x, p)` -> the drive kernel P(x, p) and dP/dx at fixed p, from a `_slope_kernel` built once.
+
+    P(x, p) = -(2*sqrt(2)/pi) * dE_el/d(loc) at loc = u = sqrt(2)*(zeta*x + kappa*p),
+    where dE_el/d(loc) is the slope of the continuum electronic density
+    (`landscape._slope_kernel`), which raises `DomainError` where
+    m = 1 - xi*tanh(u)^2 leaves [-1, 1].  In the hypergeometric normalization
+    this is the originally written form
+    (4*sqrt(2)*g/pi) * sinh(u)/(xi*(q+1/q)) * (E(m) - xi*(E(m)-F(m))/(m*cosh(u)^2)).
+    dP/dx = -(4 zeta/pi) d2E_el/d(loc)2 at loc = u; +inf at u = 0.
+    """
     slopes = _slope_kernel(params)
     zeta, kappa = params.zeta, params.kappa
 
@@ -73,38 +79,6 @@ def _acceleration(drive: Callable[[float, float], tuple[float, float]], x: float
     return (x - pval) * (1.0 - px) - v * px
 
 
-def script_p(params: ModelParams, x: float, p: float) -> float:
-    """The drive kernel P(x, p) = -(2*sqrt(2)/pi) * dE_el/d(loc) at loc = u.
-
-    u = sqrt(2)*(zeta*x + kappa*p) and dE_el/d(loc) is the slope of the
-    continuum electronic density (`landscape._slope_kernel`), which
-    raises `DomainError` where m = 1 - xi*tanh(u)^2 leaves [-1, 1].  In the
-    hypergeometric normalization this is the originally written form
-    (4*sqrt(2)*g/pi) * sinh(u)/(xi*(q+1/q)) * (E(m) - xi*(E(m)-F(m))/(m*cosh(u)^2)).
-    """
-    return _drive(params)(x, p)[0]
-
-
-def script_p_x(params: ModelParams, x: float, p: float) -> float:
-    """Partial dP/dx at fixed p, -(4 zeta/pi) d2E_el/d(loc)2 at loc = u; +inf at u = 0."""
-    return _drive(params)(x, p)[1]
-
-
-def ode_rhs(params: ModelParams, state: PhaseState) -> tuple[float, float]:
-    """(dx/dt, dv/dt) of the restricted oscillator, with P evaluated at p = x."""
-    return state.v, _acceleration(_drive(params), state.x, state.v)
-
-
-def fixed_point_branches(params: ModelParams, x: float, tol: float = 1e-8) -> tuple[bool, bool]:
-    """Which stationarity branch a v = 0 fixed point satisfies.
-
-    Returns (x equals the kernel value, kernel slope equals one); a point
-    with both False is not a fixed point of the restricted oscillator.
-    """
-    pval, px = _drive(params)(x, x)
-    return abs(x - pval) < tol, abs(px - 1.0) < tol
-
-
 def integrate(
     params: ModelParams,
     initial: PhaseState,
@@ -120,7 +94,7 @@ def integrate(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    drive = _drive(params)
+    drive = drive_kernel(params)
     x, v, t = initial.x, initial.v, initial.t
     traj = Trajectory(t=[t], x=[x], v=[v])
     for _ in range(steps):

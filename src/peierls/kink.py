@@ -33,7 +33,6 @@ from .model import (
 
 __all__ = [
     "KinkConfiguration",
-    "kink_matrix",
     "kink_spectrum",
     "sublattice_svd",
     "difference_operator",
@@ -83,12 +82,6 @@ def _offdiagonal(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
     if not abs(loc) < math.log(sys.float_info.max / max(g, 1.0)):  # NaN fails too
         raise ValueError(f"kink bonds g exp(+-loc) overflow at state location {loc}")
     return -g * np.exp(0.5 * np.diff(config.staggering()) * loc)
-
-
-def kink_matrix(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
-    """Dense single-particle matrix of the kink Hamiltonian (see `_offdiagonal`)."""
-    off = _offdiagonal(params, config)
-    return np.diag(off, 1) + np.diag(off, -1)
 
 
 def kink_spectrum(params: ModelParams, config: KinkConfiguration) -> tuple[np.ndarray, float, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Physical parameters, coherent-state kinematics, and hopping chains.
+"""Physical parameters, coherent-state kinematics, and the staggered ring.
 
 The chain has 2L sites.  A phonon coherent amplitude z per site (staggered
 as z_j = (-)^j z) turns the exponential electron-phonon hopping into real
@@ -19,7 +19,6 @@ from scipy.linalg import eigvals_banded
 __all__ = [
     "ModelParams",
     "CoherentAmplitude",
-    "HoppingChain",
     "state_location",
     "effective_coupling",
     "staggered_bonds",
@@ -63,17 +62,6 @@ class CoherentAmplitude:
         return CoherentAmplitude(-self.re, -self.im)
 
 
-@dataclass(frozen=True)
-class HoppingChain:
-    """Ordered real bond amplitudes of a ring: bond j joins sites j and (j + 1) mod n."""
-
-    bonds: tuple[float, ...]
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.bonds)
-
-
 def state_location(params: ModelParams, z: CoherentAmplitude) -> float:
     """2*sqrt(2)*(zeta*Re z + kappa*Im z); odd under z -> -z."""
     return 2.0 * math.sqrt(2.0) * (params.zeta * z.re + params.kappa * z.im)
@@ -84,25 +72,24 @@ def effective_coupling(params: ModelParams) -> float:
     return params.t * math.exp(params.zeta**2 + params.kappa**2)
 
 
-def staggered_bonds(params: ModelParams, z: CoherentAmplitude) -> HoppingChain:
-    """Periodic chain of 2L bonds g*(cosh - (-)^j sinh) = g*exp(-(-)^j loc)."""
+def staggered_bonds(params: ModelParams, z: CoherentAmplitude) -> np.ndarray:
+    """The 2L bonds g*(cosh - (-)^j sinh) = g*exp(-(-)^j loc) of the periodic chain."""
     g = effective_coupling(params)
     loc = state_location(params, z)
-    lo, hi = g * math.exp(-loc), g * math.exp(loc)
-    bonds = tuple(lo if j % 2 == 0 else hi for j in range(2 * params.big_l))
-    return HoppingChain(bonds=bonds)
+    return np.where(np.arange(2 * params.big_l) % 2 == 0, g * math.exp(-loc), g * math.exp(loc))
 
 
-def ring_spectrum(chain: HoppingChain) -> np.ndarray:
-    """Eigenvalues, non-decreasing, of the ring's single-particle matrix: -A_j on (j, j+1 mod n).
+def ring_spectrum(bonds: np.ndarray) -> np.ndarray:
+    """Eigenvalues, non-decreasing, of the ring's single-particle matrix: -A_j on (j, j+1 mod n),
+    where bond j = A_j joins sites j and (j + 1) mod n.
 
     In the folded site order 0, n-1, 1, n-2, 2, ... every bond joins sites at most two
     apart, so LAPACK's banded symmetric solver takes O(n^2) time and O(n) memory.
     """
-    bonds = np.asarray(chain.bonds, dtype=float)
+    bonds = np.asarray(bonds, dtype=float)
     if not np.all(np.isfinite(bonds)):
         raise ValueError("matrix has non-finite entries")
-    n = chain.n_sites
+    n = len(bonds)
     if n < 2:
         raise ValueError("need at least 2 sites")
     site = np.arange(n)

@@ -13,7 +13,7 @@ quantities come from `peierls.algebra`, evaluated over all modes at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -63,20 +63,12 @@ class ValidationReport:
         self.checks.append(ValidationCheck(name, bool(measured <= threshold), float(measured), threshold, detail))
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "measured": c.measured,
-                    "threshold": c.threshold,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-            "info": self.info,
-        }
+        """The report as strict-JSON data: a non-finite `measured` becomes None."""
+        data = {"passed": self.passed, **asdict(self)}
+        for check in data["checks"]:
+            if not math.isfinite(check["measured"]):
+                check["measured"] = None
+        return data
 
 
 def _quad_e(m: float) -> float:

@@ -109,6 +109,8 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         ("critical-points", "newton_tol=nan", "newton_tol must be positive"),
         ("critical-points", "newton_tol=-1", "newton_tol must be positive"),
         ("critical-points", "max_step=-1", "max_step must be positive"),
+        ("critical-points", "newton_tol=inf", "newton_tol must be positive"),
+        ("critical-points", "max_step=inf", "max_step must be positive"),
         ("critical-points", "seed_rings=0.05,nan", "seed_rings must be finite and >= 0"),
         ("critical-points", "seed_rings=-0.05", "seed_rings must be finite and >= 0"),
         ("dynamics", "settle_tol=nan", "settle_tol must be finite and >= 0"),
@@ -367,6 +369,15 @@ def test_validate_landscape_checks_fail_when_no_draw_is_in_the_domain(tmp_path, 
     assert "FAIL landscape-gradient: measured nan (threshold 1.0e-06)" in lines
     assert sum(line.startswith("FAIL") for line in lines) == 2
 
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    # strict JSON: the NaN measurements are written as null
+    report = json.loads((tmp_path / "validation.json").read_text(), parse_constant=reject)["report"]
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in ("landscape-parity", "landscape-gradient"):
+        assert (checks[name]["measured"], checks[name]["passed"]) == (None, False)
+
 
 def test_cli_spectrum_constant(tmp_path):
     rc = main(["spectrum", "--reference", "double_well", "-o", str(tmp_path),
@@ -376,6 +387,13 @@ def test_cli_spectrum_constant(tmp_path):
     assert meta["proportionality_constant"] == pytest.approx(2.0, rel=1e-9)
     header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
     assert header == "index,real_space,mode_value"
+
+
+def test_cli_spectrum_without_a_nonzero_mode_writes_a_null_constant(tmp_path):
+    # at t = 1e-310 every mode value is below the 1e-300 cut, so no ratio is taken
+    assert main(["spectrum", "--reference", "double_well", "-o", str(tmp_path), "--set", "t=1e-310"]) == 0
+    meta = json.loads((tmp_path / "spectrum.json").read_text())
+    assert meta["proportionality_constant"] is None
 
 
 def test_cli_spectrum_smallest_ring(tmp_path):

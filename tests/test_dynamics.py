@@ -8,14 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import peierls.dynamics
 from peierls.config import load_config, reference_config_path
-from peierls.dynamics import (
-    PhaseState,
-    fixed_point_branches,
-    integrate,
-    ode_rhs,
-    script_p,
-    script_p_x,
-)
+from peierls.dynamics import PhaseState, drive_kernel, integrate
 from peierls.landscape import DomainError, _slope_kernel, find_critical_points
 from peierls.model import ModelParams
 
@@ -26,6 +19,14 @@ def reference_config():
 
 def reference_params():
     return reference_config().model_params()
+
+
+def ode_rhs(params, state):
+    """(dx/dt, dv/dt) = (v, (x - P)(1 - P_x) - v P_x) of the restricted oscillator, P at p = x;
+    a cusp sample (P_x = inf at u = 0) takes slope 0."""
+    pval, px = drive_kernel(params)(state.x, state.x)
+    px = 0.0 if math.isinf(px) else px
+    return state.v, (state.x - pval) * (1.0 - px) - state.v * px
 
 
 # attractor x-coordinate of the shipped dynamics reference (unit-slope
@@ -44,13 +45,13 @@ def test_landscape_minimum_is_the_attractor_and_the_kink_amplitude():
 
 
 def test_kernel_vanishes_at_origin():
-    assert script_p(reference_params(), 0.0, 0.0) == 0.0
+    assert drive_kernel(reference_params())(0.0, 0.0)[0] == 0.0
 
 
 @given(st.floats(min_value=-0.4, max_value=0.4), st.floats(min_value=-0.4, max_value=0.4))
 def test_kernel_odd(x, p):
-    params = reference_params()
-    assert script_p(params, -x, -p) == pytest.approx(-script_p(params, x, p), abs=1e-12)
+    drive = drive_kernel(reference_params())
+    assert drive(-x, -p)[0] == pytest.approx(-drive(x, p)[0], abs=1e-12)
 
 
 def test_kernel_is_scaled_landscape_slope():
@@ -59,13 +60,13 @@ def test_kernel_is_scaled_landscape_slope():
     for x, p in ((0.05, 0.02), (0.2, -0.1), (-0.3, 0.25)):
         loc = math.sqrt(2.0) * (params.zeta * x + params.kappa * p)
         expected = -(2.0 * math.sqrt(2.0) / math.pi) * _slope_kernel(params)(loc)[0]
-        assert script_p(params, x, p) == pytest.approx(expected, rel=1e-12)
+        assert drive_kernel(params)(x, p)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_kernel_domain_error():
     params = ModelParams(t=0.01, zeta=1.0, kappa=0.0, big_l=8, q=1.5, w=-3.0)  # xi > 2
     with pytest.raises(DomainError):
-        script_p(params, 5.0, 5.0)
+        drive_kernel(params)(5.0, 5.0)
 
 
 def test_rhs_decoupled_limit():
@@ -80,25 +81,25 @@ def test_rhs_fixed_point_condition():
     x = X_ATTRACTOR
     _, dv = ode_rhs(params, PhaseState(x=x, v=0.0))
     assert abs(dv) < 1e-8
-    on_kernel, unit_slope = fixed_point_branches(params, x, tol=1e-6)
-    assert unit_slope and not on_kernel
+    pval, px = drive_kernel(params)(x, x)
+    assert abs(px - 1.0) < 1e-6 and not abs(x - pval) < 1e-6  # the unit-slope branch, off the kernel
 
 
 def test_origin_is_fixed_point_on_kernel_branch():
     params = reference_params()
-    on_kernel, _ = fixed_point_branches(params, 0.0)
-    assert on_kernel
+    pval, _ = drive_kernel(params)(0.0, 0.0)
+    assert abs(pval) < 1e-8
     traj = integrate(params, PhaseState(0.0, 0.0), dt=0.01, steps=100)
     assert abs(traj.final.x) < 1e-12 and abs(traj.final.v) < 1e-12
 
 
 def test_kernel_slope_matches_central_difference():
-    params = reference_params()
+    drive = drive_kernel(reference_params())
     for x, p in ((0.05, 0.05), (0.2, -0.1), (-0.3, 0.25), (1e-4, 1e-4)):
         h = 1e-7 * max(abs(x), 1e-3)
-        fd = (script_p(params, x + h, p) - script_p(params, x - h, p)) / (2.0 * h)
-        assert script_p_x(params, x, p) == pytest.approx(fd, rel=1e-7)
-    assert script_p_x(params, 0.0, 0.0) == math.inf  # the Delta^2 ln Delta cusp
+        fd = (drive(x + h, p)[0] - drive(x - h, p)[0]) / (2.0 * h)
+        assert drive(x, p)[1] == pytest.approx(fd, rel=1e-7)
+    assert drive(0.0, 0.0)[1] == math.inf  # the Delta^2 ln Delta cusp
 
 
 def test_integrate_evaluates_the_kernel_once_per_rk4_stage(monkeypatch):
@@ -118,7 +119,7 @@ def test_integrate_evaluates_the_kernel_once_per_rk4_stage(monkeypatch):
 
 @pytest.mark.parametrize("x, v", [(0.03, 0.0), (-0.05, 0.02), (0.0, 0.1)])
 def test_one_integrate_step_is_a_hand_rk4_step_of_ode_rhs(x, v):
-    # bit for bit: the float stages of `integrate` are the public right-hand side;
+    # bit for bit: the float stages of `integrate` are the right-hand side above;
     # (0, 0.1) samples the cusp at loc = 0 in its first stage
     params, dt = reference_params(), 0.01
     k1 = ode_rhs(params, PhaseState(x, v))

@@ -8,9 +8,9 @@ import pytest
 from peierls.config import ConfigError, load_config, reference_config_path
 from peierls.kink import (
     KinkConfiguration,
+    _offdiagonal,
     bond_order,
     difference_operator,
-    kink_matrix,
     kink_position,
     kink_spectrum,
     propagate_kink,
@@ -31,6 +31,12 @@ def reference_params():
 def z_min():
     cfg = reference_config()
     return CoherentAmplitude(cfg.z_re, cfg.z_im)
+
+
+def kink_matrix(p, cfg):
+    """Dense single-particle matrix of the kink Hamiltonian: zero diagonal, `_offdiagonal` beside it."""
+    off = _offdiagonal(p, cfg)
+    return np.diag(off, 1) + np.diag(off, -1)
 
 
 def kink_bonds(p, cfg):
@@ -77,8 +83,8 @@ def test_bonds_match_staggering_on_both_sides():
     n = 8
     cfg = KinkConfiguration(n=n, z=z, n_sites=24)
     kbonds = kink_bonds(p, cfg)
-    ring = staggered_bonds(p, z).bonds
-    anti = staggered_bonds(p, -z).bonds
+    ring = staggered_bonds(p, z)
+    anti = staggered_bonds(p, -z)
     for j in range(n):
         assert kbonds[j] == pytest.approx(ring[j], rel=1e-14)
     for j in range(n + 1, len(kbonds)):

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from peierls.model import (
     CoherentAmplitude,
     ModelParams,
-    HoppingChain,
     effective_coupling,
     ring_spectrum,
     staggered_bonds,
@@ -27,20 +26,20 @@ def amplitude_for_location(params, loc):
     return CoherentAmplitude(loc / (2.0 * math.sqrt(2.0) * params.zeta), 0.0)
 
 
-def single_particle_matrix(chain):
+def single_particle_matrix(bonds):
     """Dense oracle for `ring_spectrum`: -A_j on the (j, j+1 mod n) off-diagonals, bond by bond."""
-    n = chain.n_sites
+    n = len(bonds)
     h = np.zeros((n, n))
-    for j, a in enumerate(chain.bonds):
+    for j, a in enumerate(bonds):
         k = (j + 1) % n
         h[j, k] -= a
         h[k, j] -= a
     return h
 
 
-def assert_matches_dense_oracle(chain):
-    banded = ring_spectrum(chain)
-    dense = np.linalg.eigvalsh(single_particle_matrix(chain))
+def assert_matches_dense_oracle(bonds):
+    banded = ring_spectrum(bonds)
+    dense = np.linalg.eigvalsh(single_particle_matrix(bonds))
     assert np.max(np.abs(banded - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -71,23 +70,23 @@ def test_state_location_odd(re, im):
 
 def test_undimerized_bonds_all_equal_g():
     p = ModelParams(t=0.5, zeta=1.0, kappa=0.5, big_l=8)
-    chain = staggered_bonds(p, CoherentAmplitude(0.0, 0.0))
+    bonds = staggered_bonds(p, CoherentAmplitude(0.0, 0.0))
     g = effective_coupling(p)
-    assert len(chain.bonds) == chain.n_sites == 16
-    assert all(b == pytest.approx(g, rel=1e-15) for b in chain.bonds)
+    assert bonds.shape == (16,)
+    assert all(b == pytest.approx(g, rel=1e-15) for b in bonds)
 
 
 def test_staggered_bonds_alternate():
     p = g_one_params(big_l=6)
     z = amplitude_for_location(p, 0.3)
-    chain = staggered_bonds(p, z)
+    bonds = staggered_bonds(p, z)
     g = effective_coupling(p)
-    for j, b in enumerate(chain.bonds):
+    for j, b in enumerate(bonds):
         expected = g * math.exp(-0.3 if j % 2 == 0 else 0.3)
         assert b == pytest.approx(expected, rel=1e-14)
     # geometric mean of adjacent bonds is g
-    for j in range(len(chain.bonds) - 1):
-        assert chain.bonds[j] * chain.bonds[j + 1] == pytest.approx(g * g, rel=1e-13)
+    for j in range(len(bonds) - 1):
+        assert bonds[j] * bonds[j + 1] == pytest.approx(g * g, rel=1e-13)
 
 
 def test_single_particle_matrix_symmetric_periodic():
@@ -124,12 +123,17 @@ def test_ring_spectrum_matches_dense_oracle(big_l, loc):
 @given(st.integers(1, 40).flatmap(
     lambda half: st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2 * half, max_size=2 * half)))
 def test_ring_spectrum_matches_dense_oracle_on_any_positive_bonds(bonds):
-    assert_matches_dense_oracle(HoppingChain(bonds=tuple(bonds)))
+    assert_matches_dense_oracle(np.array(bonds))
 
 
 def test_ring_spectrum_rejects_non_finite_bonds():
     with pytest.raises(ValueError, match="non-finite"):
-        ring_spectrum(HoppingChain(bonds=(1.0, math.inf)))
+        ring_spectrum(np.array([1.0, math.inf]))
+
+
+def test_ring_spectrum_rejects_fewer_than_two_bonds():
+    with pytest.raises(ValueError, match="at least 2 sites"):
+        ring_spectrum(np.array([1.0]))
 
 
 @given(st.floats(min_value=-0.8, max_value=0.8))
