@@ -114,7 +114,12 @@ def cmd_critical_points(config: RunConfig, args: argparse.Namespace) -> int:
         out / "critical_points.json",
         "critical-points",
         config,
-        {"counts": counts, "seeds": points.seeds},
+        {
+            "counts": counts,
+            "seeds": points.seeds,
+            "newton_evaluations": points.evaluations,
+            "max_gradient_norm": max((p.gradient_norm for p in points), default=None),
+        },
     )
     return EXIT_OK
 

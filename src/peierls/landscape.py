@@ -99,21 +99,22 @@ def _slope_kernel(params: ModelParams) -> Callable[[float], tuple[float, float]]
     return slopes
 
 
-def _gradient_and_hessian(params: ModelParams, slopes: Callable, z: CoherentAmplitude) -> tuple[np.ndarray, np.ndarray]:
+def _gradient_and_hessian(
+    params: ModelParams, slopes: Callable, re: float, im: float
+) -> tuple[float, float, float, float, float]:
     """Gradient and Hessian of the total density w.r.t. (Re z, Im z) from one `slopes` call
-    (a `_slope_kernel` of `params`): the phonon diagonal plus 8 d2E_el/d(loc)2 (zeta, kappa)^T (zeta, kappa)."""
+    (a `_slope_kernel` of `params`), as floats (g_re, g_im, h_rr, h_ri, h_ii): the phonon
+    diagonal plus 8 d2E_el/d(loc)2 (zeta, kappa)^T (zeta, kappa)."""
     (c_re, c_im), zeta, kappa = _PHONON_CURVATURES, params.zeta, params.kappa
-    d1, d2 = slopes(state_location(params, z))
+    d1, d2 = slopes(state_location(params, CoherentAmplitude(re, im)))
     g = d1 * 2.0 * math.sqrt(2.0)
     c = 8.0 * d2 if zeta * zeta + kappa * kappa else 0.0  # both ~0: loc = 0 (d2 = -inf) at every z, drops out
-    grad = np.array([c_re * z.re + g * zeta, c_im * z.im + g * kappa])
-    hess = [[c_re + c * zeta * zeta, c * zeta * kappa], [c * zeta * kappa, c_im + c * kappa * kappa]]
-    return grad, np.array(hess)
+    return c_re * re + g * zeta, c_im * im + g * kappa, c_re + c * zeta * zeta, c * zeta * kappa, c_im + c * kappa * kappa
 
 
 def total_gradient(params: ModelParams, z: CoherentAmplitude) -> np.ndarray:
     """Analytic gradient of the total density w.r.t. (Re z, Im z)."""
-    return _gradient_and_hessian(params, _slope_kernel(params), z)[0]
+    return np.array(_gradient_and_hessian(params, _slope_kernel(params), z.re, z.im)[:2])
 
 
 def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> float:
@@ -192,14 +193,21 @@ def _classify(eigs: np.ndarray) -> str:
     return "saddle"
 
 
+def _norm(x: float, y: float) -> float:
+    """sqrt(x^2 + y^2), which overflows to inf as `np.linalg.norm` does: at large zeta far seeds'
+    gradient norms are inf, which still orders as a norm and lets the first finite trial through."""
+    return math.sqrt(x * x + y * y)
+
+
 class CriticalPoints(list):
     """`find_critical_points` result; `seeds` counts the seeds tried, converged,
-    skipped (no convergence, or out of domain) and deduplicated."""
+    skipped (no convergence, or out of domain) and deduplicated, and
+    `evaluations` the slope-kernel calls the search made."""
 
     seeds: dict[str, int]
+    evaluations: int
 
 
-@np.errstate(over="ignore")  # at large zeta far seeds' gradient norms overflow to inf, which still orders as a norm
 def find_critical_points(
     params: ModelParams,
     seeds: Iterable[tuple[float, float]] | Sequence[CoherentAmplitude],
@@ -209,55 +217,65 @@ def find_critical_points(
 ) -> CriticalPoints:
     """Damped Newton descent on the gradient from each seed.
 
-    Gradient and analytic Hessian come from one evaluation per iterate; the
-    step is -grad where the Hessian is singular or, at loc = 0, not finite.
+    The iterate, gradient and Hessian are plain floats, and gradient and
+    analytic Hessian come from one slope-kernel evaluation per iterate.  The
+    step solves the 2x2 Newton system in closed form; it is -grad where the
+    determinant is 0 or not finite (a Hessian entry is, at loc = 0).
     A seed whose iterate comes within 1e-6 of a point already found stops
     there and counts as converged and deduplicated; new points are
     classified by the sign pattern of the Hessian eigenvalues.  Seeds that
     fail to converge are skipped (counted in the result's `seeds`, not fatal).
     `max_step` caps the Newton step length (trust radius), keeping each
     seed attached to its local basin instead of jumping to far saddles.
+    The result's `evaluations` counts every slope-kernel call, trial points
+    out of the domain included; the CLI writes it as `newton_evaluations`,
+    next to `max_gradient_norm`, the largest `gradient_norm` of the points.
     """
     slopes = _slope_kernel(params)
     found = CriticalPoints()
     found.seeds = dict.fromkeys(("tried", "converged", "skipped", "deduplicated"), 0)
+    found.evaluations = 0
 
-    def known(pt: np.ndarray) -> bool:
-        return any(np.hypot(pt[0] - c.location[0], pt[1] - c.location[1]) < 1e-6 for c in found)
+    def evaluate(re: float, im: float) -> tuple[float, float, float, float, float]:
+        found.evaluations += 1
+        return _gradient_and_hessian(params, slopes, re, im)
+
+    def known(re: float, im: float) -> bool:
+        return any(math.hypot(re - c.location[0], im - c.location[1]) < 1e-6 for c in found)
 
     for seed in seeds:
         found.seeds["tried"] += 1
-        if isinstance(seed, CoherentAmplitude):
-            pt = np.array([seed.re, seed.im])
-        else:
-            pt = np.array(seed, dtype=float)
+        re, im = map(float, (seed.re, seed.im) if isinstance(seed, CoherentAmplitude) else seed)
         converged = False
         try:
-            grad, hess = _gradient_and_hessian(params, slopes, CoherentAmplitude(*pt))
+            g_re, g_im, h_rr, h_ri, h_ii = evaluate(re, im)
             for _ in range(max_iter):
-                gnorm = float(np.linalg.norm(grad))
-                if gnorm < tol or known(pt):
+                gnorm = _norm(g_re, g_im)
+                if gnorm < tol or known(re, im):
                     converged = True
                     break
-                try:
-                    step = np.linalg.solve(hess, -grad) if np.isfinite(hess).all() else -grad
-                except np.linalg.LinAlgError:
-                    step = -grad
+                det = h_rr * h_ii - h_ri * h_ri  # non-finite when an entry is
+                if det and math.isfinite(det):
+                    s_re, s_im = (h_ri * g_im - h_ii * g_re) / det, (h_ri * g_re - h_rr * g_im) / det
+                else:
+                    s_re, s_im = -g_re, -g_im
                 if max_step is not None:
-                    slen = float(np.linalg.norm(step))
+                    slen = _norm(s_re, s_im)
                     if slen > max_step:
-                        step *= max_step / slen
+                        scale = max_step / slen
+                        s_re, s_im = s_re * scale, s_im * scale
                 # backtracking damping on the gradient norm
                 lam = 1.0
                 for _ in range(40):
-                    trial = pt + lam * step
+                    t_re, t_im = re + lam * s_re, im + lam * s_im
                     try:
-                        gt, ht = _gradient_and_hessian(params, slopes, CoherentAmplitude(*trial))
+                        trial = evaluate(t_re, t_im)
                     except DomainError:
                         lam *= 0.5
                         continue
-                    if np.linalg.norm(gt) < gnorm:
-                        pt, grad, hess = trial, gt, ht
+                    if _norm(trial[0], trial[1]) < gnorm:
+                        re, im = t_re, t_im
+                        g_re, g_im, h_rr, h_ri, h_ii = trial
                         break
                     lam *= 0.5
                 else:
@@ -268,9 +286,10 @@ def find_critical_points(
             found.seeds["skipped"] += 1
             continue
         found.seeds["converged"] += 1
-        if known(pt):
+        if known(re, im):
             found.seeds["deduplicated"] += 1
             continue
+        hess = np.array([[h_rr, h_ri], [h_ri, h_ii]])
         if np.isfinite(hess).all():
             eigs = np.linalg.eigvalsh(hess)
         else:  # loc = 0: -inf along (zeta, kappa), and across it only the phonons curve
@@ -279,8 +298,8 @@ def find_critical_points(
             eigs = np.array([-math.inf, across])
         found.append(
             CriticalPoint(
-                location=(float(pt[0]), float(pt[1])),
-                gradient_norm=float(np.linalg.norm(grad)),
+                location=(re, im),
+                gradient_norm=_norm(g_re, g_im),
                 hessian_eigs=(float(eigs[0]), float(eigs[1])),
                 kind=_classify(eigs),  # type: ignore[arg-type]
             )

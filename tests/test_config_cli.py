@@ -25,7 +25,7 @@ from peierls.config import (
     parse_config_file,
     reference_config_path,
 )
-from peierls.landscape import landscape_grid, total_density
+from peierls.landscape import find_critical_points, landscape_grid, total_density, total_gradient
 from peierls.model import CoherentAmplitude
 
 
@@ -307,6 +307,18 @@ def test_cli_critical_points_reports_seeds_and_cusp(tmp_path):
     assert saddle.split(",")[0] == "saddle" and saddle.split(",")[4] == "-inf"
 
 
+def test_cli_critical_points_metadata_reports_the_search(tmp_path):
+    # the search's slope-kernel calls and the largest final gradient norm, outside `config`
+    assert main(["critical-points", "--reference", "double_well", "-o", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "critical_points.json").read_text())
+    cfg = load_config(reference_config_path("double_well"))
+    points = find_critical_points(cfg.model_params(), cfg.seeds(), tol=cfg.newton_tol, max_step=cfg.max_step)
+    rows = [line.split(",") for line in (tmp_path / "critical_points.csv").read_text().splitlines()[1:]]
+    assert meta["newton_evaluations"] == points.evaluations > meta["seeds"]["tried"]
+    assert meta["max_gradient_norm"] == max(float(row[3]) for row in rows) < cfg.newton_tol
+    assert "newton_evaluations" not in meta["config"] and "max_gradient_norm" not in meta["config"]
+
+
 def test_cli_critical_points_at_large_zeta_warns_nothing(tmp_path):
     # far seeds' gradient norms overflow to inf; only the origin saddle remains
     with warnings.catch_warnings():
@@ -354,6 +366,24 @@ def test_validate_landscape_gradient_fails_on_a_neighbour_outside_the_domain():
     validate._check_landscape(report, params)
     parity, gradient = report.checks
     assert parity.passed and not gradient.passed and math.isnan(gradient.measured)
+
+
+def test_validate_landscape_gradient_step_shrinks_next_to_the_cusp():
+    import peierls.validate as validate
+
+    # w = -40 narrows the domain to |loc| < ~3e-4; at loc = -1.3e-5 a fixed z-step of 1e-6
+    # moves loc by 5.7e-6 across the Delta^2 ln Delta bend and misreads the gradient by 1.4e-6
+    params = load_config(reference_config_path("double_well"), overrides={"w": -40.0, "zeta": 2.0}).model_params()
+    im = 0.01
+    re = (-1.3e-5 / (2.0 * math.sqrt(2.0)) - params.kappa * im) / params.zeta
+    parity, gradient = validate._landscape_errors(params, np.array([[re, im]]))
+    assert parity == 0.0 and gradient < 1e-8
+    h = 1e-6
+    e = [total_density(params, CoherentAmplitude(re + dr, im + di)).total
+         for dr, di in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))]
+    fixed = np.array([(e[0] - e[1]) / (2 * h), (e[2] - e[3]) / (2 * h)])
+    analytic = total_gradient(params, CoherentAmplitude(re, im))
+    assert np.linalg.norm(analytic - fixed) / max(1.0, np.linalg.norm(fixed)) > 1e-6
 
 
 def test_validate_landscape_checks_fail_when_no_draw_is_in_the_domain(tmp_path, capsys):

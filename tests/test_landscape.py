@@ -12,7 +12,9 @@ from peierls.algebra import xi
 from peierls.config import load_config, reference_config_path
 from peierls.landscape import (
     DomainError,
+    _classify,
     _energy_densities,
+    _gradient_and_hessian,
     _slope_kernel,
     electronic_density_continuum,
     electronic_density_modesum,
@@ -22,7 +24,7 @@ from peierls.landscape import (
     total_density,
     total_gradient,
 )
-from peierls.model import CoherentAmplitude, ModelParams, effective_coupling
+from peierls.model import CoherentAmplitude, ModelParams, effective_coupling, state_location
 
 
 def g_one_params(big_l=64, q=1.0, w=0.0):
@@ -347,3 +349,135 @@ def test_reference_minima_vanish_at_q_one():
     p1 = ModelParams(t=p.t, zeta=p.zeta, kappa=p.kappa, big_l=p.big_l, q=1.0, w=p.w)
     points = find_critical_points(p1, cfg.seeds(), tol=cfg.newton_tol, max_step=cfg.max_step)
     assert all(c.kind != "minimum" for c in points)
+
+
+@np.errstate(over="ignore")  # at large zeta far seeds' gradient norms overflow to inf, which still orders as a norm
+def numpy_critical_points(params, seeds, tol=1e-10, max_iter=200, max_step=None):
+    """Oracle for `find_critical_points`: the same damped Newton search on numpy 2-vectors, with
+    `np.linalg.solve` for the step, `np.linalg.norm` for the norms and `eigvalsh` for every point.
+    Returns (points, seeds) with points as (location, gradient_norm, hessian_eigs, kind) tuples."""
+    slopes = _slope_kernel(params)
+    found, counts = [], dict.fromkeys(("tried", "converged", "skipped", "deduplicated"), 0)
+
+    def evaluate(pt):
+        g_re, g_im, h_rr, h_ri, h_ii = _gradient_and_hessian(params, slopes, float(pt[0]), float(pt[1]))
+        return np.array([g_re, g_im]), np.array([[h_rr, h_ri], [h_ri, h_ii]])
+
+    def known(pt):
+        return any(np.hypot(pt[0] - loc[0], pt[1] - loc[1]) < 1e-6 for loc, *_ in found)
+
+    for seed in seeds:
+        counts["tried"] += 1
+        pt = np.array(seed, dtype=float)
+        converged = False
+        try:
+            grad, hess = evaluate(pt)
+            for _ in range(max_iter):
+                gnorm = float(np.linalg.norm(grad))
+                if gnorm < tol or known(pt):
+                    converged = True
+                    break
+                try:
+                    step = np.linalg.solve(hess, -grad) if np.isfinite(hess).all() else -grad
+                except np.linalg.LinAlgError:
+                    step = -grad
+                if max_step is not None:
+                    slen = float(np.linalg.norm(step))
+                    if slen > max_step:
+                        step *= max_step / slen
+                lam = 1.0
+                for _ in range(40):
+                    trial = pt + lam * step
+                    try:
+                        gt, ht = evaluate(trial)
+                    except DomainError:
+                        lam *= 0.5
+                        continue
+                    if np.linalg.norm(gt) < gnorm:
+                        pt, grad, hess = trial, gt, ht
+                        break
+                    lam *= 0.5
+                else:
+                    break
+        except DomainError:
+            pass
+        if not converged:
+            counts["skipped"] += 1
+            continue
+        counts["converged"] += 1
+        if known(pt):
+            counts["deduplicated"] += 1
+            continue
+        if np.isfinite(hess).all():
+            eigs = np.linalg.eigvalsh(hess)
+        else:
+            zeta2, kappa2 = params.zeta**2, params.kappa**2
+            eigs = np.array([-math.inf, (16.0 * kappa2 + 4.0 * zeta2) / (zeta2 + kappa2)])
+        found.append(((float(pt[0]), float(pt[1])), float(np.linalg.norm(grad)), tuple(eigs.tolist()), _classify(eigs)))
+    return found, counts
+
+
+def assert_matches_numpy_oracle(params, seeds, tol, max_step):
+    points = find_critical_points(params, seeds, tol=tol, max_step=max_step)
+    oracle, counts = numpy_critical_points(params, seeds, tol=tol, max_step=max_step)
+    assert points.seeds == counts
+    assert [c.kind for c in points] == [kind for *_, kind in oracle]
+    for c, (location, gradient_norm, eigs, _) in zip(points, oracle):
+        assert c.location == pytest.approx(location, rel=0, abs=1e-15)
+        assert c.hessian_eigs == pytest.approx(eigs, rel=1e-12, abs=0)
+        assert c.gradient_norm < tol and gradient_norm < tol
+
+
+@pytest.mark.parametrize("reference", ["double_well", "kink_dynamics"])
+@pytest.mark.parametrize("angles", [8, 64])
+def test_newton_matches_numpy_oracle_on_references(reference, angles):
+    cfg = load_config(reference_config_path(reference), {"seed_angles": angles})
+    assert_matches_numpy_oracle(cfg.model_params(), cfg.seeds(), cfg.newton_tol, cfg.max_step)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    zeta=st.floats(min_value=0.5, max_value=2.5),
+    kappa=st.floats(min_value=0.0, max_value=1.0),
+    q=st.floats(min_value=1.0, max_value=2.0),
+    w=st.floats(min_value=-2.0, max_value=0.0),
+)
+def test_newton_matches_numpy_oracle_across_parameters(zeta, kappa, q, w):
+    cfg, p = double_well_params()
+    params = ModelParams(t=p.t, zeta=zeta, kappa=kappa, big_l=p.big_l, q=q, w=w)
+    assert_matches_numpy_oracle(params, cfg.seeds(), cfg.newton_tol, cfg.max_step)
+
+
+@pytest.mark.parametrize("d2", [-2.0, -math.inf], ids=["singular", "non-finite"])
+def test_newton_step_falls_back_to_minus_gradient(monkeypatch, d2):
+    # zeta = 1, kappa = 0: h_rr = 16 + 8 d2 is 0 at d2 = -2 (det = 0) and -inf at d2 = -inf,
+    # where h_ri = -inf * 0 is NaN; either way the step is -grad, and its full trial comes first
+    params = ModelParams(t=1.0, zeta=1.0, kappa=0.0, big_l=8)
+    locs = []
+
+    def stub_kernel(_):
+        return lambda loc: locs.append(loc) or (0.01, d2)
+
+    monkeypatch.setattr(peierls.landscape, "_slope_kernel", stub_kernel)
+    re, im = 0.02, 0.03
+    g_re, g_im, *_ = _gradient_and_hessian(params, stub_kernel(params), re, im)
+    locs.clear()
+    points = find_critical_points(params, [(re, im)], max_iter=1)
+    assert points == [] and points.evaluations == len(locs) >= 2
+    assert locs[:2] == [state_location(params, CoherentAmplitude(re, im)),
+                        state_location(params, CoherentAmplitude(re - g_re, im - g_im))]
+
+
+def test_newton_evaluations_count_every_slope_call(monkeypatch):
+    cfg, p = double_well_params()
+    calls = []
+    kernel = peierls.landscape._slope_kernel
+    monkeypatch.setattr(peierls.landscape, "_slope_kernel",
+                        lambda params: (lambda slopes: lambda loc: calls.append(loc) or slopes(loc))(kernel(params)))
+    points = find_critical_points(p, cfg.seeds(), tol=cfg.newton_tol, max_step=cfg.max_step)
+    assert points.evaluations == len(calls) > points.seeds["tried"]
+    # a trial point outside the domain is a slope call too
+    wide = g_one_params(q=1.5, w=-3.0)
+    calls.clear()
+    points = find_critical_points(wide, [(1.01 * domain_limit(wide) / (2.0 * math.sqrt(2.0)), 0.0)])
+    assert points.seeds["skipped"] == 1 and points.evaluations == len(calls) == 1
