@@ -472,11 +472,15 @@ def test_newton_evaluations_count_every_slope_call(monkeypatch):
     cfg, p = double_well_params()
     calls = []
     kernel = peierls.landscape._slope_kernel
-    monkeypatch.setattr(peierls.landscape, "_slope_kernel",
-                        lambda params: (lambda slopes: lambda loc: calls.append(loc) or slopes(loc))(kernel(params)))
+
+    def counted_kernel(params):
+        slopes = kernel(params)
+        return lambda loc: calls.append(loc) or slopes(loc)
+
+    monkeypatch.setattr(peierls.landscape, "_slope_kernel", counted_kernel)
     points = find_critical_points(p, cfg.seeds(), tol=cfg.newton_tol, max_step=cfg.max_step)
     assert points.evaluations == len(calls) > points.seeds["tried"]
-    # a trial point outside the domain is a slope call too
+    # a seed outside the domain costs one slope call, the one that raises DomainError
     wide = g_one_params(q=1.5, w=-3.0)
     calls.clear()
     points = find_critical_points(wide, [(1.01 * domain_limit(wide) / (2.0 * math.sqrt(2.0)), 0.0)])
