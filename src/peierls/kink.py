@@ -21,7 +21,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, svd
 
 from .landscape import phonon_energy_total
 from .model import (
@@ -90,6 +89,8 @@ def kink_spectrum(params: ModelParams, config: KinkConfiguration) -> tuple[np.nd
     The gap diagnostic marks eigenvalues inside the bulk dimerization gap
     (-2g|sinh loc|, 2g|sinh loc|) of the corresponding uniform chain.
     """
+    from scipy.linalg import eigvalsh_tridiagonal  # loaded at the first solve, not by every command
+
     evals = eigvalsh_tridiagonal(np.zeros(config.n_sites), _offdiagonal(params, config))
     loc = state_location(params, config.z)
     gap_edge = 2.0 * effective_coupling(params) * abs(math.sinh(loc))
@@ -106,6 +107,8 @@ def sublattice_svd(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     last column of the square W is the zero mode (w, 0).  The (w_k, -v_k) / sqrt 2
     are the filled sea.
     """
+    from scipy.linalg import svd  # loaded at the first solve, not by every command
+
     n_sites = len(off) + 1
     block = np.zeros(((n_sites + 1) // 2, n_sites // 2))
     bond = np.arange(n_sites - 1)  # bond j joins sites j and j + 1

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded
 
 __all__ = [
     "ModelParams",
@@ -86,6 +85,8 @@ def ring_spectrum(bonds: np.ndarray) -> np.ndarray:
     In the folded site order 0, n-1, 1, n-2, 2, ... every bond joins sites at most two
     apart, so LAPACK's banded symmetric solver takes O(n^2) time and O(n) memory.
     """
+    from scipy.linalg import eigvals_banded  # loaded at the first solve, not by every command
+
     bonds = np.asarray(bonds, dtype=float)
     if not np.all(np.isfinite(bonds)):
         raise ValueError("matrix has non-finite entries")

@@ -188,6 +188,40 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout.split() == ["False"]
 
 
+COLD_RUN = """\
+import json, sys
+import peierls.cli
+from peierls.config import load_config, reference_config_path
+load_config(reference_config_path("kink_dynamics"))
+seen = [[None, "scipy.linalg" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    seen.append([peierls.cli.main(argv), "scipy.linalg" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
+    # only the spectrum and kink solvers need scipy.linalg, and they load it at their first call
+    def cold_run(*argvs):
+        """[exit code, scipy.linalg loaded] after the import and a config load, then after each command,
+        all in one fresh interpreter."""
+        env = {**os.environ, "PYTHONPATH": str(Path(peierls.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", COLD_RUN, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def argv(command, *overrides):
+        return [command, "--reference", "kink_dynamics", "-o", str(tmp_path / command),
+                *(arg for o in overrides for arg in ("--set", o))]
+
+    # each check after a command shows that the next one, too, starts without scipy.linalg
+    landscape_path = cold_run(argv("landscape", "resolution=21"), argv("critical-points"),
+                              argv("dynamics", "steps=50"))
+    assert landscape_path == [[None, False], [0, False], [0, False], [0, False]]
+    assert cold_run(argv("kink-spectrum")) == [[None, False], [0, True]]
+
+
 def oracle_csv(header, columns):
     """The per-cell rule the column writer must reproduce: the shortest
     round-trip repr for floats, str for anything else."""

@@ -283,8 +283,8 @@ def test_offset_zero_reuses_the_anchor_decomposition(monkeypatch):
     import peierls.kink
 
     calls = []
-    solve = peierls.kink.svd
-    monkeypatch.setattr(peierls.kink, "svd", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    solve = peierls.kink.sublattice_svd
+    monkeypatch.setattr(peierls.kink, "sublattice_svd", lambda *a, **k: calls.append(1) or solve(*a, **k))
     traj = propagate_kink(reference_params(), z_min(), 30, dt=0.5, steps=10, n_sites=60,
                           initial_anchor_offset=0)
     assert set(traj.anchors) == {30}
