@@ -259,7 +259,8 @@ def _check_proportionality(report: ValidationReport) -> None:
     spread = float(np.max(np.abs(ratios - const)) / abs(const))
     report.info["real-space-to-mode-constant"] = const
     report.add("proportionality-constant-uniform", spread, 1e-9, "ratio constant across modes")
-    report.add("real-space-to-mode-constant", abs(const - 2.0), 1e-12, "|c - 2|, c the mean ratio of ring eigenvalues to mode energies")
+    report.add("real-space-to-mode-constant", abs(const - 2.0), 1e-12,
+               "|c - 2|, c the mean ratio of ring eigenvalues to mode energies")
 
 
 def run_validation(params: ModelParams | None = None) -> ValidationReport:
