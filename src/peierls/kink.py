@@ -7,7 +7,9 @@ and keeps the whole chain real.  The single-particle matrix is symmetric
 and tridiagonal with a zero diagonal, so spectra come from its
 off-diagonal vector and observables from nearest-neighbour links.  Its
 bonds join even sites to odd ones only (chiral, or sublattice, symmetry),
-so one half-size SVD of the even-odd block gives every eigenpair as +-s;
+so every eigenpair is +-s from the SVD of the even-odd block, which is
+lower bidiagonal: LAPACK's dqds gives the spectrum to high relative
+accuracy, its bidiagonal divide and conquer gives the vectors, and
 propagation rotates the orbitals' coefficients in that basis.  This is
 the SSH chain (Su, Schrieffer & Heeger, PRL 42, 1698, 1979).  The
 omega_l = g - (c + (-)^l s) weights survive only in the three-site
@@ -16,6 +18,7 @@ difference operator and its zero subspace, which `validate` checks.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -86,12 +89,13 @@ def _offdiagonal(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
 def kink_spectrum(params: ModelParams, config: KinkConfiguration) -> tuple[np.ndarray, float, np.ndarray]:
     """(sorted eigenvalues, lowest eigenvalue, in-gap flags).
 
-    The gap diagnostic marks eigenvalues inside the bulk dimerization gap
+    The eigenvalues are -s ascending, 0 for odd N, then s, from the singular values
+    of the even-odd block, so the spectrum is exactly +- symmetric.  The gap
+    diagnostic marks eigenvalues inside the bulk dimerization gap
     (-2g|sinh loc|, 2g|sinh loc|) of the corresponding uniform chain.
     """
-    from scipy.linalg import eigvalsh_tridiagonal  # loaded at the first solve, not by every command
-
-    evals = eigvalsh_tridiagonal(np.zeros(config.n_sites), _offdiagonal(params, config))
+    s = _bidiagonal(_offdiagonal(params, config), vectors=False)
+    evals = np.concatenate([-s, np.zeros(config.n_sites % 2), s[::-1]])
     loc = state_location(params, config.z)
     gap_edge = 2.0 * effective_coupling(params) * abs(math.sinh(loc))
     in_gap = np.abs(evals) < gap_edge - 1e-12
@@ -102,19 +106,62 @@ def sublattice_svd(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """(W, s, V) with C = W diag(s) V^T for the zero-diagonal tridiagonal h with off-diagonal `off`.
 
     With even sites A and odd sites B, h = [[0, C], [C^T, 0]], where C is the
-    ceil(N/2) x floor(N/2) lower-bidiagonal block C[i, i] = off[2i], C[i+1, i] = off[2i+1].
+    ceil(N/2) x floor(N/2) lower-bidiagonal block C[i, i] = off[2i], C[i+1, i] = off[2i+1],
+    decomposed by LAPACK's bidiagonal divide and conquer (`dbdsdc`).
     Each triple gives the eigenpairs (+-s_k, (w_k, +-v_k) / sqrt 2); for odd N the
     last column of the square W is the zero mode (w, 0).  The (w_k, -v_k) / sqrt 2
     are the filled sea.
     """
-    from scipy.linalg import svd  # loaded at the first solve, not by every command
+    return _bidiagonal(off, vectors=True)
 
-    n_sites = len(off) + 1
-    block = np.zeros(((n_sites + 1) // 2, n_sites // 2))
-    bond = np.arange(n_sites - 1)  # bond j joins sites j and j + 1
-    block[(bond + 1) // 2, bond // 2] = off
-    w, s, vt = svd(block)
-    return w, s, vt.T
+
+@functools.cache  # loads scipy.linalg at the first solve, not with every command
+def _lapack(name: str, n_args: int):
+    """LAPACK routine `name` through the function pointer scipy.linalg.cython_lapack exports.
+
+    Every argument is passed by address, as in Fortran; arrays go as their data pointers.
+    """
+    import ctypes
+
+    from scipy.linalg.cython_lapack import __pyx_capi__ as capsules
+
+    api = ctypes.pythonapi
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    capsule = capsules[name]
+    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(pointer(capsule, capsule_name(capsule)))
+    return lambda *args: routine(*(a.ctypes.data if isinstance(a, np.ndarray) else a for a in args))
+
+
+def _bidiagonal(off: np.ndarray, vectors: bool) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values s (descending) of the even-odd block C of the chain with off-diagonal
+    `off`, and with `vectors` the (W, s, V) of `sublattice_svd`.
+
+    C is made square and lower bidiagonal, diagonal off[0::2] and subdiagonal off[1::2];
+    odd N pads a zero column, whose zero singular value comes last and is dropped.
+    Values come from dqds (`dlasq1`), which keeps high relative accuracy down to the
+    exponentially small wall state (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873,
+    1990); vectors from `dbdsdc`.
+    """
+    off = np.asarray(off, dtype=float)
+    if not np.isfinite(off).all():
+        raise ValueError("kink chain bonds must be finite")
+    n, n_filled = len(off) // 2 + 1, (len(off) + 1) // 2  # ceil(N/2) rows, floor(N/2) columns of C
+    d, e = np.zeros((2, n))
+    d[:n_filled], e[: n - 1] = off[0::2], off[1::2]
+    size, info = np.array([n], dtype=np.intc), np.zeros(1, dtype=np.intc)
+    if vectors:
+        # LAPACK writes column-major, so the C-order u receives U^T and the C-order v receives V;
+        # q and iq (the 10th and 11th arguments) are not read with compq = 'I'
+        u, v = np.empty((2, n, n))
+        work, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.intc)
+        _lapack("dbdsdc", 14)(b"L", b"I", size, d, e, u, size, v, size, work, iwork, work, iwork, info)
+    else:
+        _lapack("dlasq1", 5)(size, d, e, np.empty(4 * n), info)
+    if info[0]:
+        raise np.linalg.LinAlgError(f"bidiagonal SVD of the kink chain failed (LAPACK info {info[0]})")
+    s = d[:n_filled]
+    return (u.T, s, v[:n_filled, :n_filled]) if vectors else s
 
 
 def difference_operator(params: ModelParams, config: KinkConfiguration) -> np.ndarray:

@@ -508,6 +508,17 @@ def test_cli_kink_propagate_non_finite_phonon_energy_exits_2_without_a_warning(t
     assert "phonon energy of z = (1e+200, " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["kink-spectrum", "kink-propagate"])
+def test_cli_kink_lapack_failure_exits_3(tmp_path, capsys, monkeypatch, command):
+    # a nonzero LAPACK info (no convergence) is a LinAlgError, a numerical failure
+    import peierls.kink
+
+    monkeypatch.setattr(peierls.kink, "_lapack", lambda name, n_args: lambda *args: args[-1].fill(1))
+    rc = main([command, "--reference", "kink_dynamics", "-o", str(tmp_path), "--set", "kink_steps=2"])
+    assert rc == 3
+    assert "LAPACK info 1" in capsys.readouterr().err
+
+
 def test_cli_kink_spectrum(tmp_path):
     rc = main(["kink-spectrum", "--reference", "kink_dynamics", "-o", str(tmp_path),
                "--set", "n_sites=80", "--set", "kink_site=40"])

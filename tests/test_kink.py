@@ -117,8 +117,11 @@ def test_sublattice_svd_gives_the_spectrum(n_sites):
     h = kink_matrix(p, cfg)
     w, s, v = sublattice_svd(np.diag(h, 1))
     assert w.shape == ((n_sites + 1) // 2,) * 2 and v.shape == (n_sites // 2,) * 2
+    # both run LAPACK's bidiagonal routines, so the oracle is numpy's dense eigensolver
+    dense = np.linalg.eigvalsh(h)
     chiral = np.sort(np.concatenate([-s, s, np.zeros(n_sites % 2)]))
-    assert np.max(np.abs(chiral - kink_spectrum(p, cfg)[0])) < 1e-13
+    assert np.max(np.abs(chiral - dense)) < 1e-13
+    assert np.max(np.abs(kink_spectrum(p, cfg)[0] - dense)) < 1e-13
     # each singular triple is the eigenpair (+-s, (w, +-v) / sqrt 2) of h
     for k in (0, len(s) - 1):
         for sign in (1.0, -1.0):
@@ -129,6 +132,24 @@ def test_sublattice_svd_gives_the_spectrum(n_sites):
         zero = np.zeros(n_sites)
         zero[0::2] = w[:, -1]
         assert np.max(np.abs(h @ zero)) < 1e-13
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sublattice_svd_rejects_non_finite_bonds(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sublattice_svd(np.array([1.0, bad, 1.0]))
+
+
+@pytest.mark.parametrize("n_sites, n, target", [(1000, 500, 1.04e-29), (1000, 313, 3.45e-19), (600, 300, 1.86e-18)])
+def test_wall_eigenvalue_to_high_relative_accuracy(n_sites, n, target):
+    # C is square lower bidiagonal for even N, so prod s_k = |det C| = prod |C_ii| exactly
+    p = reference_params()
+    cfg = KinkConfiguration(n=n, z=z_min(), n_sites=n_sites)
+    off = _offdiagonal(p, cfg)
+    s = kink_spectrum(p, cfg)[0][n_sites // 2 :]  # ascending, s[0] the wall state
+    wall = math.exp(np.sum(np.log(np.abs(off[0::2]))) - np.sum(np.log(s[1:])))
+    assert s[0] == pytest.approx(wall, rel=1e-10, abs=0)
+    assert s[0] == pytest.approx(target, rel=1e-2, abs=0)
 
 
 @pytest.mark.parametrize("n_sites", [60, 61])
