@@ -9,13 +9,12 @@ off-origin minima.  Writes a gnuplot-ready CSV next to this script.
 from pathlib import Path
 
 from peierls import (
-    CoherentAmplitude,
     ModelParams,
+    energy_densities,
     find_critical_points,
     landscape_grid,
     load_config,
     reference_config_path,
-    total_density,
     xi,
 )
 
@@ -29,7 +28,7 @@ def main() -> None:
     print("\ncritical points at q = 1.5:")
     points = find_critical_points(params, cfg.seeds(), tol=cfg.newton_tol, max_step=cfg.max_step)
     for c in sorted(points, key=lambda c: c.location):
-        e = total_density(params, CoherentAmplitude(*c.location)).total
+        e = float(energy_densities(params, *c.location)["e_total"])
         print(f"  {c.kind:8s} at ({c.location[0]:+.6f}, {c.location[1]:+.6f}), "
               f"energy {e:.12f}, Hessian eigs ({c.hessian_eigs[0]:+.3f}, {c.hessian_eigs[1]:+.3f})")
 

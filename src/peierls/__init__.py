@@ -27,14 +27,11 @@ from .kink import (
 from .landscape import (
     CriticalPoint,
     DomainError,
-    EnergyBreakdown,
-    electronic_density_continuum,
     electronic_density_modesum,
+    energy_densities,
     find_critical_points,
     landscape_grid,
-    phonon_energy_total,
-    total_density,
-    total_gradient,
+    phonon_density,
 )
 from .model import (
     CoherentAmplitude,

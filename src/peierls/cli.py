@@ -27,7 +27,7 @@ from .algebra import mode_energies
 from .config import ConfigError, RunConfig, _coerce, load_config, reference_config_path
 from .dynamics import PhaseState, integrate
 from .kink import KinkConfiguration, kink_spectrum, propagate_kink
-from .landscape import _energy_densities, find_critical_points, landscape_grid
+from .landscape import energy_densities, find_critical_points, landscape_grid
 from .model import CoherentAmplitude, ring_spectrum, staggered_bonds
 
 __all__ = ["main"]
@@ -161,8 +161,7 @@ def cmd_dynamics(config: RunConfig, args: argparse.Namespace) -> int:
         return EXIT_NUMERICAL
     out = _out_dir(args)
     x = np.array(traj.x)
-    half = CoherentAmplitude(0.5 * x, 0.5 * x)  # type: ignore[arg-type]
-    e_total = _energy_densities(config.model_params(), half)["e_total"]
+    e_total = energy_densities(config.model_params(), 0.5 * x, 0.5 * x)["e_total"]
     _write_csv(out / "trajectory.csv", ["t", "x", "v", "e_total"], [traj.t, x, traj.v, e_total])
     _write_metadata(
         out / "trajectory.json",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import phonon_energy_total
+from .landscape import phonon_density
 from .model import (
     CoherentAmplitude,
     ModelParams,
@@ -291,7 +291,7 @@ def propagate_kink(
     w0, _, v0, _ = factors(n + initial_anchor_offset) if initial_anchor_offset else (w, s, v, weights)
     flat[0::2, 0::2] = w0[:, :n_filled] / math.sqrt(2.0)  # real parts
     flat[1::2, 0::2] = -v0 / math.sqrt(2.0)
-    if not math.isfinite(phonon := phonon_energy_total(z0, n_sites / 2)):  # n_sites / 2 cells
+    if not math.isfinite(phonon := n_sites / 2 * phonon_density(z0.re, z0.im)):
         raise ValueError(f"phonon energy of z = ({z0.re}, {z0.im}) is not finite")
 
     traj = KinkTrajectory(times=[], positions=[], energies=[], anchors=[])

@@ -25,14 +25,11 @@ from .special import _check_finite, _e_derivatives
 
 __all__ = [
     "DomainError",
-    "EnergyBreakdown",
     "CriticalPoint",
     "CriticalPoints",
-    "phonon_energy_total",
-    "electronic_density_continuum",
-    "total_gradient",
+    "phonon_density",
+    "energy_densities",
     "electronic_density_modesum",
-    "total_density",
     "landscape_grid",
     "find_critical_points",
 ]
@@ -42,14 +39,7 @@ class DomainError(ValueError):
     """Raised when the elliptic parameter leaves [-1, 1]."""
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    phonon: float
-    electronic: float
-
-    @property
-    def total(self) -> float:
-        return self.phonon + self.electronic
+Kind = Literal["minimum", "saddle", "maximum", "marginal"]
 
 
 @dataclass(frozen=True)
@@ -57,21 +47,16 @@ class CriticalPoint:
     location: tuple[float, float]
     gradient_norm: float
     hessian_eigs: tuple[float, float]
-    kind: Literal["minimum", "saddle", "maximum", "marginal"]
+    kind: Kind
 
 
-def phonon_energy_total(z: CoherentAmplitude, big_l: int) -> float:
-    """Coherent-state phonon energy 2L(4 Re(z)^2 + Im(z)^2 + 3/4)."""
-    return 2.0 * big_l * (4.0 * z.re * z.re + z.im * z.im + 0.75)
+def phonon_density(re: float | np.ndarray, im: float | np.ndarray) -> float | np.ndarray:
+    """Coherent-state phonon energy per unit cell, 2(4 Re^2 z + Im^2 z + 3/4)."""
+    return 2.0 * (4.0 * re * re + im * im + 0.75)
 
 
-# d2/d(Re z)2 and d2/d(Im z)2 of the phonon density per unit cell, 2(4 Re^2 z + Im^2 z + 3/4)
+# d2/d(Re z)2 and d2/d(Im z)2 of `phonon_density`
 _PHONON_CURVATURES = (16.0, 4.0)
-
-
-def electronic_density_continuum(params: ModelParams, z: CoherentAmplitude) -> float:
-    """Large-L electronic density -p_q(z) E(m_q); even in z."""
-    return total_density(params, z).electronic
 
 
 def _slope_kernel(params: ModelParams) -> Callable[[float], tuple[float, float]]:
@@ -112,11 +97,6 @@ def _gradient_and_hessian(
     return c_re * re + g * zeta, c_im * im + g * kappa, c_re + c * zeta * zeta, c * zeta * kappa, c_im + c * kappa * kappa
 
 
-def total_gradient(params: ModelParams, z: CoherentAmplitude) -> np.ndarray:
-    """Analytic gradient of the total density w.r.t. (Re z, Im z)."""
-    return np.array(_gradient_and_hessian(params, _slope_kernel(params), z.re, z.im)[:2])
-
-
 def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> float:
     """(1/L) sum over modes of the lower eigenvalue of the deformed 2x2,
     all L modes evaluated at once through `peierls.algebra`.
@@ -132,26 +112,18 @@ def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> flo
     return float(np.mean(mode_eigenvalues(deformed_mode_matrix(params, modes))[0]))
 
 
-def total_density(params: ModelParams, z: CoherentAmplitude) -> EnergyBreakdown:
-    """`_energy_densities` at one z; raises `DomainError` outside the elliptic domain."""
-    columns = _energy_densities(params, CoherentAmplitude(np.array([z.re]), np.array([z.im])))  # type: ignore[arg-type]
-    if not columns["in_domain"][0]:
-        raise DomainError(f"elliptic parameter at z = ({z.re}, {z.im}) outside [-1, 1]; "
-                          "state location beyond convergence bound")
-    return EnergyBreakdown(phonon=float(columns["e_phonon"][0]), electronic=float(columns["e_electronic"][0]))
-
-
-def _energy_densities(params: ModelParams, z: CoherentAmplitude) -> dict[str, np.ndarray]:
-    """The continuum density over arrays of z, as columns ``e_phonon``, ``e_electronic``,
-    ``e_total`` and ``in_domain``.  The phonon density is per unit cell,
-    `phonon_energy_total` / L; the electronic one is -p_q E(m_q) with
-    p_q = (2/pi) g q^w cosh(loc) and m_q = 1 - xi_q tanh(loc)^2.  ``in_domain``
+def energy_densities(params: ModelParams, re: float | np.ndarray, im: float | np.ndarray) -> dict[str, np.ndarray]:
+    """The continuum density at z = re + i im, elementwise over arrays of any shape (0-d for
+    one point), as columns ``e_phonon``, ``e_electronic``, ``e_total`` and ``in_domain``.
+    The phonon density is `phonon_density`; the electronic one is -p_q E(m_q) with
+    p_q = (2/pi) g q^w cosh(loc) and m_q = 1 - xi_q tanh(loc)^2, even in z.  ``in_domain``
     is False where m_q leaves [-1, 1], and those cells have NaN energies."""
-    loc = state_location(params, z)
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    loc = state_location(params, CoherentAmplitude(re, im))
     th = np.tanh(loc)
     m = 1.0 - xi(params.q, params.w) * (th * th)
     in_domain = np.abs(m) <= 1.0
-    e_phonon = np.where(in_domain, phonon_energy_total(z, params.big_l) / params.big_l, np.nan)
+    e_phonon = np.where(in_domain, phonon_density(re, im), np.nan)
     e_electronic = np.full(in_domain.shape, np.nan)
     p_q = (2.0 / math.pi) * effective_coupling(params) * params.q**params.w * np.cosh(loc[in_domain])
     e_electronic[in_domain] = -p_q * ellipe(m[in_domain])
@@ -169,21 +141,21 @@ def landscape_grid(
     im_range: tuple[float, float],
     resolution: int,
 ) -> dict[str, np.ndarray]:
-    """Energy breakdowns over a resolution x resolution grid, as flat columns.
+    """`energy_densities` over a resolution x resolution grid, as flat columns.
 
     Columns ``re`` and ``im`` run over the cells in re-major order (re
     outer, im inner); the energy columns and ``in_domain`` are those of
-    `_energy_densities`, matching `total_density` cell by cell.
+    `energy_densities` at those cells.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     res = np.linspace(re_range[0], re_range[1], resolution) if resolution > 1 else [0.5 * sum(re_range)]
     ims = np.linspace(im_range[0], im_range[1], resolution) if resolution > 1 else [0.5 * sum(im_range)]
     re, im = (axis.ravel() for axis in np.meshgrid(res, ims, indexing="ij"))
-    return {"re": re, "im": im, **_energy_densities(params, CoherentAmplitude(re, im))}  # type: ignore[arg-type]
+    return {"re": re, "im": im, **energy_densities(params, re, im)}
 
 
-def _classify(eigs: np.ndarray) -> str:
+def _classify(eigs: np.ndarray) -> Kind:
     if np.any(np.abs(eigs) < 1e-8):
         return "marginal"
     if np.all(eigs > 0):
@@ -301,7 +273,7 @@ def find_critical_points(
                 location=(re, im),
                 gradient_norm=_norm(g_re, g_im),
                 hessian_eigs=(float(eigs[0]), float(eigs[1])),
-                kind=_classify(eigs),  # type: ignore[arg-type]
+                kind=_classify(eigs),
             )
         )
     return found

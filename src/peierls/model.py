@@ -52,16 +52,16 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class CoherentAmplitude:
-    """Staggering amplitude z; re ~ expected displacement, im ~ momentum."""
+    """Staggering amplitude z; re ~ expected displacement, im ~ momentum (scalars, or arrays of one shape)."""
 
-    re: float = 0.0
-    im: float = 0.0
+    re: float | np.ndarray = 0.0
+    im: float | np.ndarray = 0.0
 
     def __neg__(self) -> "CoherentAmplitude":
         return CoherentAmplitude(-self.re, -self.im)
 
 
-def state_location(params: ModelParams, z: CoherentAmplitude) -> float:
+def state_location(params: ModelParams, z: CoherentAmplitude) -> float | np.ndarray:
     """2*sqrt(2)*(zeta*Re z + kappa*Im z); odd under z -> -z."""
     return 2.0 * math.sqrt(2.0) * (params.zeta * z.re + params.kappa * z.im)
 

@@ -21,13 +21,7 @@ from scipy.integrate import quad
 
 from .algebra import deformed_mode_matrix, lambda_discrepancy, mode_eigenvalues, mode_energies, xi
 from .kink import KinkConfiguration, difference_operator, kink_spectrum, sublattice_svd, zero_subspace, _offdiagonal, _omega
-from .landscape import (
-    _energy_densities,
-    _gradient_and_hessian,
-    _slope_kernel,
-    electronic_density_continuum,
-    electronic_density_modesum,
-)
+from .landscape import _gradient_and_hessian, _slope_kernel, electronic_density_modesum, energy_densities
 from .model import (
     CoherentAmplitude,
     ModelParams,
@@ -133,7 +127,8 @@ def _check_modesum(report: ValidationReport) -> None:
     shortfalls = []
     for big_l in ls:
         params, z = _reference_state(big_l=big_l, q=1.5)
-        shortfalls.append(electronic_density_continuum(params, z) - electronic_density_modesum(params, z))
+        continuum = float(energy_densities(params, [z.re], [z.im])["e_electronic"][0])
+        shortfalls.append(continuum - electronic_density_modesum(params, z))
     errs = [abs(s) for s in shortfalls]
     order = -float(np.polyfit(np.log(ls), np.log(errs), 1)[0])
     report.info["modesum-errors"] = dict(zip(map(str, ls), errs))
@@ -150,7 +145,7 @@ def _check_modesum(report: ValidationReport) -> None:
     )
     params, z = _reference_state(big_l=4096)
     ms = electronic_density_modesum(params, z)
-    ct = electronic_density_continuum(params, z)
+    ct = float(energy_densities(params, [z.re], [z.im])["e_electronic"][0])
     report.add("modesum-continuum-L4096", abs(ms - ct) / abs(ct), 1e-12, "relative agreement at L = 4096")
 
 
@@ -166,9 +161,8 @@ def _landscape_errors(params: ModelParams, points: np.ndarray) -> tuple[float, f
     cut = (speed * h > 1e-2 * np.abs(loc)) & (loc != 0.0)
     h[cut] = 1e-2 * np.abs(loc[cut]) / speed
     # z, -z and the four central-difference neighbours of z in one array pass
-    shifted = CoherentAmplitude(np.concatenate([re, -re, re + h, re - h, re, re]),
-                                np.concatenate([im, -im, im, im, im + h, im - h]))
-    e = _energy_densities(params, shifted)["e_total"].reshape(6, len(points))
+    e = energy_densities(params, np.concatenate([re, -re, re + h, re - h, re, re]),
+                         np.concatenate([im, -im, im, im, im + h, im - h]))["e_total"].reshape(6, len(points))
     parity = float(np.max(np.abs(e[0] - e[1])))
     fd = np.column_stack(((e[2] - e[3]) / (2 * h), (e[4] - e[5]) / (2 * h)))
     slopes = _slope_kernel(params)
@@ -180,7 +174,7 @@ def _landscape_errors(params: ModelParams, points: np.ndarray) -> tuple[float, f
 def _check_landscape(report: ValidationReport, params: ModelParams) -> None:
     # the first 50 of 1,024 uniform draws (one (re, im) pair each) in the domain, which is even in z
     draws = np.random.default_rng(20260823).uniform(-0.08, 0.08, size=(1024, 2))
-    points = draws[_energy_densities(params, CoherentAmplitude(*draws.T))["in_domain"]][:50]
+    points = draws[energy_densities(params, *draws.T)["in_domain"]][:50]
     parity = grad_err = math.nan  # stays NaN, which fails both checks, when no draw is in the domain
     if len(points):
         parity, grad_err = _landscape_errors(params, points)
@@ -263,11 +257,9 @@ def _check_proportionality(report: ValidationReport) -> None:
                "|c - 2|, c the mean ratio of ring eigenvalues to mode energies")
 
 
-def run_validation(params: ModelParams | None = None) -> ValidationReport:
-    """Execute the full cross-module suite; landscape/kink checks use the
-    shipped kink/dynamics reference parameters unless others are given."""
-    if params is None:
-        params = ModelParams(t=0.05727103620628195, zeta=1.4, kappa=0.35, big_l=64, q=1.5, w=-1.0)
+def run_validation(params: ModelParams) -> ValidationReport:
+    """Execute the full cross-module suite; the landscape and kink checks use `params`, and
+    every other check its own fixed parameters."""
     report = ValidationReport()
     _check_special(report)
     _check_contraction(report)

@@ -25,11 +25,11 @@ from peierls.kink import (
     zero_subspace,
 )
 from peierls.landscape import (
-    electronic_density_continuum,
+    _gradient_and_hessian,
+    _slope_kernel,
     electronic_density_modesum,
+    energy_densities,
     find_critical_points,
-    total_density,
-    total_gradient,
 )
 from peierls.model import (
     CoherentAmplitude,
@@ -146,7 +146,7 @@ def test_criterion_4_modesum_convergence():
     z = amplitude(loc)
 
     def error(p):
-        return abs(electronic_density_modesum(p, z) - electronic_density_continuum(p, z))
+        return abs(electronic_density_modesum(p, z) - float(energy_densities(p, z.re, z.im)["e_electronic"]))
 
     def deformed(big_l):
         return ModelParams(t=math.exp(-1.0), zeta=1.0, kappa=0.0, big_l=big_l, q=1.5, w=0.0)
@@ -156,7 +156,7 @@ def test_criterion_4_modesum_convergence():
     p = deformed(4096)
     c = 0.5 * effective_coupling(p) * math.cosh(loc) * (p.q - 1.0 / p.q) * p.q ** (2 * p.w) * xi(p.q, p.w)
     c_dev = max(abs(big_l * e / c - 1.0) for big_l, e in zip(ls, errors))
-    rel = error(p) / abs(electronic_density_continuum(p, z))
+    rel = error(p) / abs(float(energy_densities(p, z.re, z.im)["e_electronic"]))
     undeformed = max(error(g_one_params(big_l=big_l)) for big_l in ls)
     elapsed = time.perf_counter() - start
     ok = 0.8 <= order <= 1.2 and c_dev <= 1e-9 and rel <= 2e-3 and undeformed <= 1e-14 and elapsed < 10.0
@@ -192,7 +192,7 @@ def test_criterion_5_double_well():
     )
     degeneracy = mirror = math.inf
     if structure_ok:
-        e = [total_density(p, CoherentAmplitude(*m.location)).total for m in minima]
+        e = [float(energy_densities(p, *m.location)["e_total"]) for m in minima]
         degeneracy = abs(e[0] - e[1])
         mirror = max(
             abs(minima[0].location[0] + minima[1].location[0]),
@@ -226,16 +226,9 @@ def test_criterion_6_gradient_correctness():
     checked = 0
     while checked < 50:
         re, im = rng.uniform(-0.1, 0.1, size=2)
-        z = CoherentAmplitude(re, im)
-        grad = total_gradient(p, z)
-        fd = np.array(
-            [
-                (total_density(p, CoherentAmplitude(re + h, im)).total
-                 - total_density(p, CoherentAmplitude(re - h, im)).total) / (2 * h),
-                (total_density(p, CoherentAmplitude(re, im + h)).total
-                 - total_density(p, CoherentAmplitude(re, im - h)).total) / (2 * h),
-            ]
-        )
+        grad = np.array(_gradient_and_hessian(p, _slope_kernel(p), re, im)[:2])
+        e = energy_densities(p, [re + h, re - h, re, re], [im, im, im + h, im - h])["e_total"]
+        fd = np.array([(e[0] - e[1]) / (2 * h), (e[2] - e[3]) / (2 * h)])
         worst = max(worst, float(np.linalg.norm(grad - fd)) / max(1.0, float(np.linalg.norm(fd))))
         checked += 1
     ok = worst <= 1e-6

@@ -25,8 +25,7 @@ from peierls.config import (
     parse_config_file,
     reference_config_path,
 )
-from peierls.landscape import find_critical_points, landscape_grid, total_density, total_gradient
-from peierls.model import CoherentAmplitude
+from peierls.landscape import _gradient_and_hessian, _slope_kernel, energy_densities, find_critical_points, landscape_grid
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -413,10 +412,9 @@ def test_validate_landscape_gradient_step_shrinks_next_to_the_cusp():
     parity, gradient = validate._landscape_errors(params, np.array([[re, im]]))
     assert parity == 0.0 and gradient < 1e-8
     h = 1e-6
-    e = [total_density(params, CoherentAmplitude(re + dr, im + di)).total
-         for dr, di in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))]
+    e = energy_densities(params, [re + h, re - h, re, re], [im, im, im + h, im - h])["e_total"]
     fixed = np.array([(e[0] - e[1]) / (2 * h), (e[2] - e[3]) / (2 * h)])
-    analytic = total_gradient(params, CoherentAmplitude(re, im))
+    analytic = np.array(_gradient_and_hessian(params, _slope_kernel(params), re, im)[:2])
     assert np.linalg.norm(analytic - fixed) / max(1.0, np.linalg.norm(fixed)) > 1e-6
 
 
@@ -486,7 +484,7 @@ def test_cli_dynamics_e_total_is_total_density_at_z_half_x(tmp_path):
     assert len(rows) == 301
     for row in rows:
         _, x, _, e_total = map(float, row.split(","))
-        expected = total_density(params, CoherentAmplitude(0.5 * x, 0.5 * x)).total
+        expected = energy_densities(params, 0.5 * x, 0.5 * x)["e_total"]
         assert e_total == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 

@@ -13,16 +13,13 @@ from peierls.config import load_config, reference_config_path
 from peierls.landscape import (
     DomainError,
     _classify,
-    _energy_densities,
     _gradient_and_hessian,
     _slope_kernel,
-    electronic_density_continuum,
     electronic_density_modesum,
+    energy_densities,
     find_critical_points,
     landscape_grid,
-    phonon_energy_total,
-    total_density,
-    total_gradient,
+    phonon_density,
 )
 from peierls.model import CoherentAmplitude, ModelParams, effective_coupling, state_location
 
@@ -46,32 +43,39 @@ def double_well_params():
     return cfg, cfg.model_params()
 
 
-def test_phonon_energy_total():
-    z = CoherentAmplitude(0.3, -0.2)
-    assert phonon_energy_total(z, 5) == pytest.approx(10.0 * (4 * 0.09 + 0.04 + 0.75), rel=1e-15)
+def electronic(params, z):
+    return float(energy_densities(params, z.re, z.im)["e_electronic"])
+
+
+def total(params, re, im):
+    return float(energy_densities(params, re, im)["e_total"])
+
+
+def gradient(params, z):
+    return np.array(_gradient_and_hessian(params, _slope_kernel(params), z.re, z.im)[:2])
+
+
+def test_phonon_density():
+    assert phonon_density(0.3, -0.2) == pytest.approx(2.0 * (4 * 0.09 + 0.04 + 0.75), rel=1e-15)
 
 
 @given(st.floats(min_value=-0.6, max_value=0.6), st.floats(min_value=-0.6, max_value=0.6))
 def test_continuum_density_even(re, im):
     p = ModelParams(t=0.2, zeta=0.8, kappa=0.3, big_l=8, q=1.3, w=-0.5)
     z = CoherentAmplitude(re, im)
-    assert electronic_density_continuum(p, z) == pytest.approx(
-        electronic_density_continuum(p, -z), abs=1e-13
-    )
+    assert electronic(p, z) == pytest.approx(electronic(p, -z), abs=1e-13)
 
 
 def test_undimerized_continuum_value():
     # at loc = 0: -(2/pi) g E(1) with xi = 1 (q = 1) ... m = 1, E(1) = 1
     p = g_one_params()
-    assert electronic_density_continuum(p, CoherentAmplitude(0.0, 0.0)) == pytest.approx(
-        -2.0 / math.pi, rel=1e-14
-    )
+    assert electronic(p, CoherentAmplitude(0.0, 0.0)) == pytest.approx(-2.0 / math.pi, rel=1e-14)
 
 
 def test_dimerization_lowers_electronic_energy():
     p = g_one_params()
-    e0 = electronic_density_continuum(p, CoherentAmplitude(0.0, 0.0))
-    e1 = electronic_density_continuum(p, amplitude(0.5))
+    e0 = electronic(p, CoherentAmplitude(0.0, 0.0))
+    e1 = electronic(p, amplitude(0.5))
     assert e1 < e0
 
 
@@ -82,19 +86,16 @@ def test_domain_limit_and_error():
     p = g_one_params(q=1.5, w=-3.0)
     bound = domain_limit(p)
     assert math.isfinite(bound)
-    electronic_density_continuum(p, amplitude(0.99 * bound))  # inside: fine
-    with pytest.raises(DomainError):
-        electronic_density_continuum(p, amplitude(1.01 * bound))
+    inside, outside = (energy_densities(p, amplitude(f * bound).re, 0.0) for f in (0.99, 1.01))
+    assert inside["in_domain"] and math.isfinite(inside["e_electronic"])
+    assert not outside["in_domain"] and math.isnan(outside["e_electronic"])
 
 
 def test_analytic_d_loc_matches_finite_difference():
     p = g_one_params(q=1.5, w=-1.0)
     h = 1e-6
     for loc in (0.05, 0.3, 0.9, -0.4):
-        fd = (
-            electronic_density_continuum(p, amplitude(loc + h))
-            - electronic_density_continuum(p, amplitude(loc - h))
-        ) / (2.0 * h)
+        fd = (electronic(p, amplitude(loc + h)) - electronic(p, amplitude(loc - h))) / (2.0 * h)
         assert _slope_kernel(p)(loc)[0] == pytest.approx(fd, rel=1e-6)
 
 
@@ -157,25 +158,27 @@ def test_origin_slope_zero_and_curvature_minus_infinity():
         _slope_kernel(params)(math.nan)
 
 
+def assert_one_point_matches_array(re, im):
+    """One point gives 0-d columns, bit for bit those of the same point inside an array."""
+    _, p = double_well_params()
+    point = energy_densities(p, re, im)
+    row = energy_densities(p, [0.1, re], [0.1, im])
+    for column in ("e_phonon", "e_electronic", "e_total", "in_domain"):
+        assert point[column].shape == () and point[column] == row[column][1]
+
+
 @pytest.mark.parametrize(
     "re, im", [(-0.02616900268718804, -0.02616900268718804), (-0.4050677150573715, -0.3190496689261719), (0.0, 0.0)]
 )
 def test_total_density_scalar_and_array_bitwise(re, im):
-    # a scalar ** 2 calls C pow: 0.5025 ulp off for Re z = -0.02616900268718804 in
-    # the phonon energy, and one ulp off numpy's square in tanh(loc)^2 at the second point
-    _, p = double_well_params()
-    columns = _energy_densities(p, CoherentAmplitude(np.array([re]), np.array([im])))
-    assert total_density(p, CoherentAmplitude(re, im)).total == columns["e_total"][0]
+    # a scalar ** 2 calls C pow: 0.5025 ulp off numpy's square for Re z = -0.02616900268718804
+    # in the phonon density, and one ulp off in tanh(loc)^2 at the second point
+    assert_one_point_matches_array(re, im)
 
 
 @given(st.floats(min_value=-0.5, max_value=0.5), st.floats(min_value=-0.5, max_value=0.5))
 def test_total_density_scalar_and_array_bitwise_hypothesis(re, im):
-    _, p = double_well_params()
-    columns = _energy_densities(p, CoherentAmplitude(np.array([re]), np.array([im])))
-    breakdown = total_density(p, CoherentAmplitude(re, im))
-    assert (breakdown.phonon, breakdown.electronic, breakdown.total) == (
-        columns["e_phonon"][0], columns["e_electronic"][0], columns["e_total"][0]
-    )
+    assert_one_point_matches_array(re, im)
 
 
 def test_total_gradient_matches_finite_difference():
@@ -185,13 +188,11 @@ def test_total_gradient_matches_finite_difference():
     for _ in range(50):
         re, im = rng.uniform(-0.08, 0.08, size=2)
         z = CoherentAmplitude(re, im)
-        grad = total_gradient(p, z)
+        grad = gradient(p, z)
         fd = np.array(
             [
-                (total_density(p, CoherentAmplitude(re + h, im)).total
-                 - total_density(p, CoherentAmplitude(re - h, im)).total) / (2 * h),
-                (total_density(p, CoherentAmplitude(re, im + h)).total
-                 - total_density(p, CoherentAmplitude(re, im - h)).total) / (2 * h),
+                (total(p, re + h, im) - total(p, re - h, im)) / (2 * h),
+                (total(p, re, im + h) - total(p, re, im - h)) / (2 * h),
             ]
         )
         assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
@@ -209,21 +210,21 @@ def test_total_gradient_matches_finite_difference():
     ids=["decoupled-is-linear", "zero-at-kink-minimum"],
 )
 def test_total_gradient_known_values(params, z, expected, tol):
-    assert total_gradient(params, z) == pytest.approx(expected, abs=tol)
+    assert gradient(params, z) == pytest.approx(expected, abs=tol)
 
 
 @given(st.floats(min_value=-0.05, max_value=0.05), st.floats(min_value=-0.05, max_value=0.05))
 def test_total_gradient_odd(re, im):
     params = load_config(reference_config_path("kink_dynamics")).model_params()
     z = CoherentAmplitude(re, im)
-    assert total_gradient(params, -z) == pytest.approx(-total_gradient(params, z), abs=1e-10)
+    assert gradient(params, -z) == pytest.approx(-gradient(params, z), abs=1e-10)
 
 
 def test_modesum_approaches_continuum():
     p = g_one_params(big_l=4096)
     z = amplitude(0.4)
     ms = electronic_density_modesum(p, z)
-    ct = electronic_density_continuum(p, z)
+    ct = electronic(p, z)
     assert abs(ms - ct) / abs(ct) < 2e-3
 
 
@@ -241,30 +242,38 @@ def test_grid_single_cell_is_range_center():
     re, im = float(grid["re"][0]), float(grid["im"][0])
     assert re == pytest.approx(0.1, abs=1e-15)
     assert im == pytest.approx(0.1, abs=1e-15)
-    bd = total_density(p, CoherentAmplitude(re, im))
-    assert grid["e_total"][0] == pytest.approx(bd.total, rel=1e-15)
+    assert grid["e_total"][0] == pytest.approx(total(p, re, im), rel=1e-15)
     assert grid["in_domain"][0]
 
 
-def test_grid_matches_total_density_cell_by_cell():
+def test_grid_matches_mpmath_density_cell_by_cell():
+    # every cell against -p_q E(m_q) and 2(4 re^2 + im^2 + 3/4) at 30 digits, each factor
+    # formed from its definition; measured within 2e-16 relative, asserted within 1e-14
     p = g_one_params(q=1.5, w=-3.0)  # xi > 2, finite domain
     grid = landscape_grid(p, (-0.4, 0.4), (-0.3, 0.3), 9)
     axis_re, axis_im = np.linspace(-0.4, 0.4, 9), np.linspace(-0.3, 0.3, 9)
     assert grid["re"].tolist() == np.repeat(axis_re, 9).tolist()  # re-major
     assert grid["im"].tolist() == np.tile(axis_im, 9).tolist()
     domain = 0
-    for i, (re, im) in enumerate(zip(grid["re"].tolist(), grid["im"].tolist())):
-        try:
-            bd = total_density(p, CoherentAmplitude(re, im))
-        except DomainError:
-            domain += 1
-            assert not grid["in_domain"][i]
-            assert all(math.isnan(grid[c][i]) for c in ("e_phonon", "e_electronic", "e_total"))
-            continue
-        assert grid["in_domain"][i]
-        assert grid["e_phonon"][i] == pytest.approx(bd.phonon, rel=1e-14)
-        assert grid["e_electronic"][i] == pytest.approx(bd.electronic, rel=1e-14)
-        assert grid["e_total"][i] == grid["e_phonon"][i] + grid["e_electronic"][i]
+    with mpmath.workdps(30):
+        q, w = mpmath.mpf(p.q), mpmath.mpf(p.w)
+        xq = 2 * q**-w / (q + 1 / q)
+        pref = 2 / mpmath.pi * mpmath.mpf(p.t) * mpmath.exp(mpmath.mpf(p.zeta) ** 2 + mpmath.mpf(p.kappa) ** 2) * q**w
+        for i, (re, im) in enumerate(zip(grid["re"].tolist(), grid["im"].tolist())):
+            re_mp, im_mp = mpmath.mpf(re), mpmath.mpf(im)
+            loc = 2 * mpmath.sqrt(2) * (p.zeta * re_mp + p.kappa * im_mp)
+            m = 1 - xq * mpmath.tanh(loc) ** 2
+            if abs(m) > 1:
+                domain += 1
+                assert not grid["in_domain"][i]
+                assert all(math.isnan(grid[c][i]) for c in ("e_phonon", "e_electronic", "e_total"))
+                continue
+            assert grid["in_domain"][i]
+            phonon = 2 * (4 * re_mp**2 + im_mp**2 + mpmath.mpf(3) / 4)
+            assert grid["e_phonon"][i] == pytest.approx(float(phonon), rel=1e-14, abs=0)
+            electronic_mp = -pref * mpmath.cosh(loc) * mpmath.ellipe(m)
+            assert grid["e_electronic"][i] == pytest.approx(float(electronic_mp), rel=1e-14, abs=0)
+            assert grid["e_total"][i] == grid["e_phonon"][i] + grid["e_electronic"][i]
     assert 0 < domain < 81
 
 
@@ -293,7 +302,7 @@ def test_reference_double_well_structure():
     assert len(saddles) == 1 and math.hypot(*saddles[0].location) < 1e-6
     assert saddles[0].hessian_eigs[0] < 0 < saddles[0].hessian_eigs[1]
     assert len(minima) == 2
-    e = [total_density(p, CoherentAmplitude(*m.location)).total for m in minima]
+    e = [total(p, *m.location) for m in minima]
     assert abs(e[0] - e[1]) < 1e-10
     assert abs(minima[0].location[0] + minima[1].location[0]) < 1e-8
     assert abs(minima[0].location[1] + minima[1].location[1]) < 1e-8
@@ -336,7 +345,6 @@ def test_newton_hessian_reuses_the_gradient_evaluation(monkeypatch):
         return lambda loc: calls.append(loc) or slopes(loc)
 
     monkeypatch.setattr(peierls.landscape, "_slope_kernel", counted_kernel)
-    monkeypatch.setattr(peierls.landscape, "total_gradient", None)
     find_critical_points(p, [(0.1, 0.1)], max_iter=1)
     assert len(builds) == 1 and len(calls) == 2  # the seed, then one full Newton step, accepted
     calls.clear()
