@@ -1,6 +1,6 @@
 """Demo: dimerization gap and mode bookkeeping.
 
-Diagonalizes the staggered ring (in its folded band form) at several
+Diagonalizes the staggered ring (from its chiral even-odd block) at several
 dimerization strengths, compares the real-space spectrum with the analytic
 band formula, and measures the constant relating real-space eigenvalues to
 the per-mode energy magnitudes (a factor 2 from particle-hole mode pairing).
@@ -23,7 +23,7 @@ from peierls import (
 def main() -> None:
     params = ModelParams(t=math.exp(-1.0), zeta=1.0, kappa=0.0, big_l=64)  # g = 1
     print("staggered ring, 2L = 128 sites, g = 1")
-    print(f"{'location':>9} {'gap':>10} {'banded vs analytic':>19}")
+    print(f"{'location':>9} {'gap':>10} {'solver vs analytic':>19}")
     for loc in (0.0, 0.2, 0.4, 0.8):
         z = CoherentAmplitude(loc / (2.0 * math.sqrt(2.0)), 0.0)
         real_space = ring_spectrum(staggered_bonds(params, z))

@@ -28,7 +28,7 @@ from .config import ConfigError, RunConfig, _coerce, load_config, reference_conf
 from .dynamics import PhaseState, integrate
 from .kink import KinkConfiguration, kink_spectrum, propagate_kink
 from .landscape import energy_densities, find_critical_points, landscape_grid
-from .model import CoherentAmplitude, ring_spectrum, staggered_bonds
+from .model import CoherentAmplitude, ring_spectrum, staggered_bonds, staggered_ring_bands
 
 __all__ = ["main"]
 
@@ -128,6 +128,7 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
     params = config.model_params()
     z = CoherentAmplitude(config.z_re, config.z_im)
     real_space = ring_spectrum(staggered_bonds(params, z))
+    band_error = float(np.max(np.abs(real_space - staggered_ring_bands(params, z))))
     m = mode_energies(params, z, np.arange(params.big_l))
     r = np.hypot(m.epsilon, m.delta)
     modes = np.sort(np.concatenate((-r, r)))
@@ -143,7 +144,7 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
         out / "spectrum.json",
         "spectrum",
         config,
-        {"proportionality_constant": constant},
+        {"proportionality_constant": constant, "max_band_error": band_error},
     )
     return EXIT_OK
 

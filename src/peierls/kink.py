@@ -18,7 +18,6 @@ difference operator and its zero subspace, which `validate` checks.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -29,6 +28,8 @@ from .landscape import phonon_density
 from .model import (
     CoherentAmplitude,
     ModelParams,
+    _dqds,
+    _lapack,
     effective_coupling,
     state_location,
 )
@@ -115,33 +116,14 @@ def sublattice_svd(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return _bidiagonal(off, vectors=True)
 
 
-@functools.cache  # loads scipy.linalg at the first solve, not with every command
-def _lapack(name: str, n_args: int):
-    """LAPACK routine `name` through the function pointer scipy.linalg.cython_lapack exports.
-
-    Every argument is passed by address, as in Fortran; arrays go as their data pointers.
-    """
-    import ctypes
-
-    from scipy.linalg.cython_lapack import __pyx_capi__ as capsules
-
-    api = ctypes.pythonapi
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-    capsule = capsules[name]
-    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(pointer(capsule, capsule_name(capsule)))
-    return lambda *args: routine(*(a.ctypes.data if isinstance(a, np.ndarray) else a for a in args))
-
-
 def _bidiagonal(off: np.ndarray, vectors: bool) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular values s (descending) of the even-odd block C of the chain with off-diagonal
     `off`, and with `vectors` the (W, s, V) of `sublattice_svd`.
 
     C is made square and lower bidiagonal, diagonal off[0::2] and subdiagonal off[1::2];
     odd N pads a zero column, whose zero singular value comes last and is dropped.
-    Values come from dqds (`dlasq1`), which keeps high relative accuracy down to the
-    exponentially small wall state (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873,
-    1990); vectors from `dbdsdc`.
+    Values come from dqds (`model._dqds`), which keeps high relative accuracy down to the
+    exponentially small wall state; vectors from `dbdsdc`.
     """
     off = np.asarray(off, dtype=float)
     if not np.isfinite(off).all():
@@ -149,19 +131,17 @@ def _bidiagonal(off: np.ndarray, vectors: bool) -> np.ndarray | tuple[np.ndarray
     n, n_filled = len(off) // 2 + 1, (len(off) + 1) // 2  # ceil(N/2) rows, floor(N/2) columns of C
     d, e = np.zeros((2, n))
     d[:n_filled], e[: n - 1] = off[0::2], off[1::2]
+    if not vectors:
+        return _dqds(d, e)[:n_filled]
     size, info = np.array([n], dtype=np.intc), np.zeros(1, dtype=np.intc)
-    if vectors:
-        # LAPACK writes column-major, so the C-order u receives U^T and the C-order v receives V;
-        # q and iq (the 10th and 11th arguments) are not read with compq = 'I'
-        u, v = np.empty((2, n, n))
-        work, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.intc)
-        _lapack("dbdsdc", 14)(b"L", b"I", size, d, e, u, size, v, size, work, iwork, work, iwork, info)
-    else:
-        _lapack("dlasq1", 5)(size, d, e, np.empty(4 * n), info)
+    # LAPACK writes column-major, so the C-order u receives U^T and the C-order v receives V;
+    # q and iq (the 10th and 11th arguments) are not read with compq = 'I'
+    u, v = np.empty((2, n, n))
+    work, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.intc)
+    _lapack("dbdsdc", 14)(b"L", b"I", size, d, e, u, size, v, size, work, iwork, work, iwork, info)
     if info[0]:
         raise np.linalg.LinAlgError(f"bidiagonal SVD of the kink chain failed (LAPACK info {info[0]})")
-    s = d[:n_filled]
-    return (u.T, s, v[:n_filled, :n_filled]) if vectors else s
+    return u.T, d[:n_filled], v[:n_filled, :n_filled]
 
 
 def difference_operator(params: ModelParams, config: KinkConfiguration) -> np.ndarray:

@@ -10,6 +10,7 @@ folded in analytically, so every averaged amplitude is real.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,24 +83,73 @@ def ring_spectrum(bonds: np.ndarray) -> np.ndarray:
     """Eigenvalues, non-decreasing, of the ring's single-particle matrix: -A_j on (j, j+1 mod n),
     where bond j = A_j joins sites j and (j + 1) mod n.
 
-    In the folded site order 0, n-1, 1, n-2, 2, ... every bond joins sites at most two
-    apart, so LAPACK's banded symmetric solver takes O(n^2) time and O(n) memory.
+    Every bond joins an even site to an odd one (chiral symmetry), so for n = 2m the
+    matrix is [[0, C], [C^T, 0]] and its eigenvalues are +-s for the singular values s
+    of the m x m cyclic lower bidiagonal C[i, i] = -A_2i, C[(i+1) mod m, i] = -A_2i+1
+    (at m = 1 both bonds add into the one entry).  With the even and the odd sites each
+    numbered in the ring's folded order 0, n-1, 1, n-2, ..., C is a band with one sub-
+    and one superdiagonal.  LAPACK's `dgbbrd` reduces that band to bidiagonal form and
+    dqds (`dlasq1`) gives its singular values, in O(n^2) time and O(n) memory.  The
+    result (-s ascending, then s) is exactly +- symmetric.  An odd ring is not
+    bipartite and raises ValueError.
     """
-    from scipy.linalg import eigvals_banded  # loaded at the first solve, not by every command
-
     bonds = np.asarray(bonds, dtype=float)
     if not np.all(np.isfinite(bonds)):
         raise ValueError("matrix has non-finite entries")
     n = len(bonds)
     if n < 2:
         raise ValueError("need at least 2 sites")
-    site = np.arange(n)
-    folded = np.where(site < (n + 1) // 2, 2 * site, 2 * (n - 1 - site) + 1)
-    here, there = folded, np.roll(folded, -1)  # the two ends of each bond
-    band = np.zeros((3, n))  # band[d, i] is entry (i + d, i)
-    # added, not set: at n = 2 both bonds join sites 0 and 1
-    np.add.at(band, (np.abs(here - there), np.minimum(here, there)), -bonds)
-    return eigvals_banded(band, lower=True, check_finite=False)
+    if n % 2:
+        raise ValueError(f"a ring of {n} sites is not bipartite: need an even number of bonds")
+    m = n // 2
+    cell = np.arange(m)
+    even = np.where(cell < (m + 1) // 2, 2 * cell, 2 * (m - 1 - cell) + 1)  # row of site 2i
+    odd = even[::-1]  # column of site 2i + 1: the ring's folded order visits m-1, 0, m-2, 1, ...
+    rows, cols = np.concatenate([even, np.roll(even, -1)]), np.concatenate([odd, odd])
+    band = np.zeros((m, 3))  # band[j, 1 + i - j] is entry (i, j): LAPACK's column-major band storage
+    # added, not set: at m = 1 both bonds join sites 0 and 1
+    np.add.at(band, (cols, 1 + rows - cols), -np.concatenate([bonds[0::2], bonds[1::2]]))
+    d, e = np.zeros((2, m))
+    size, zero, one, three = (np.array([k], dtype=np.intc) for k in (m, 0, 1, 3))
+    unused, info = np.zeros(1), np.zeros(1, dtype=np.intc)  # Q, P^T and C are not read with vect = 'N'
+    _lapack("dgbbrd", 18)(b"N", size, size, zero, one, one, band, three, d, e,
+                          unused, one, unused, one, unused, one, np.empty(2 * m), info)
+    if info[0]:
+        raise np.linalg.LinAlgError(f"band bidiagonalization of the ring failed (LAPACK info {info[0]})")
+    s = _dqds(d, e)
+    return np.concatenate([-s, s[::-1]])
+
+
+@functools.cache  # loads scipy.linalg at the first solve, not with every command
+def _lapack(name: str, n_args: int):
+    """LAPACK routine `name` through the function pointer scipy.linalg.cython_lapack exports.
+
+    Every argument is passed by address, as in Fortran; arrays go as their data pointers.
+    """
+    import ctypes
+
+    from scipy.linalg.cython_lapack import __pyx_capi__ as capsules
+
+    api = ctypes.pythonapi
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    capsule = capsules[name]
+    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(pointer(capsule, capsule_name(capsule)))
+    return lambda *args: routine(*(a.ctypes.data if isinstance(a, np.ndarray) else a for a in args))
+
+
+def _dqds(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of the bidiagonal matrix with diagonal d and off-diagonal e
+    (both float arrays of length len(d), overwritten), from LAPACK's dqds (`dlasq1`), which keeps
+    high relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873, 1990).
+
+    A nonzero LAPACK info (no convergence) raises np.linalg.LinAlgError.
+    """
+    info = np.zeros(1, dtype=np.intc)
+    _lapack("dlasq1", 5)(np.array([len(d)], dtype=np.intc), d, e, np.empty(4 * len(d)), info)
+    if info[0]:
+        raise np.linalg.LinAlgError(f"bidiagonal SVD failed (LAPACK info {info[0]})")
+    return d
 
 
 def staggered_ring_bands(params: ModelParams, z: CoherentAmplitude) -> np.ndarray:

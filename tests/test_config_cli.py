@@ -26,6 +26,7 @@ from peierls.config import (
     reference_config_path,
 )
 from peierls.landscape import _gradient_and_hessian, _slope_kernel, energy_densities, find_critical_points, landscape_grid
+from peierls.model import CoherentAmplitude, staggered_ring_bands
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -219,6 +220,7 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
                               argv("dynamics", "steps=50"))
     assert landscape_path == [[None, False], [0, False], [0, False], [0, False]]
     assert cold_run(argv("kink-spectrum")) == [[None, False], [0, True]]
+    assert cold_run(argv("spectrum")) == [[None, False], [0, True]]
 
 
 def oracle_csv(header, columns):
@@ -451,6 +453,17 @@ def test_cli_spectrum_constant(tmp_path):
     assert header == "index,real_space,mode_value"
 
 
+def test_cli_spectrum_reports_its_error_against_the_analytic_bands(tmp_path):
+    assert main(["spectrum", "--reference", "double_well", "-o", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "spectrum.json").read_text())
+    assert "max_band_error" not in meta["config"]
+    config = load_config(reference_config_path("double_well"))
+    bands = staggered_ring_bands(config.model_params(), CoherentAmplitude(config.z_re, config.z_im))
+    real_space = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1, usecols=1)
+    assert meta["max_band_error"] == np.max(np.abs(real_space - bands))  # the CSV's reprs round-trip
+    assert meta["max_band_error"] <= 1e-12 * np.max(np.abs(bands))
+
+
 def test_cli_spectrum_without_a_nonzero_mode_writes_a_null_constant(tmp_path):
     # at t = 1e-310 every mode value is below the 1e-300 cut, so no ratio is taken
     assert main(["spectrum", "--reference", "double_well", "-o", str(tmp_path), "--set", "t=1e-310"]) == 0
@@ -510,10 +523,21 @@ def test_cli_kink_propagate_non_finite_phonon_energy_exits_2_without_a_warning(t
 def test_cli_kink_lapack_failure_exits_3(tmp_path, capsys, monkeypatch, command):
     # a nonzero LAPACK info (no convergence) is a LinAlgError, a numerical failure
     import peierls.kink
+    import peierls.model
 
-    monkeypatch.setattr(peierls.kink, "_lapack", lambda name, n_args: lambda *args: args[-1].fill(1))
+    for module in (peierls.model, peierls.kink):  # model's dqds call, and kink's dbdsdc call
+        monkeypatch.setattr(module, "_lapack", lambda name, n_args: lambda *args: args[-1].fill(1))
     rc = main([command, "--reference", "kink_dynamics", "-o", str(tmp_path), "--set", "kink_steps=2"])
     assert rc == 3
+    assert "LAPACK info 1" in capsys.readouterr().err
+
+
+def test_cli_spectrum_lapack_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # the ring's band reduction and dqds report failure the same way
+    import peierls.model
+
+    monkeypatch.setattr(peierls.model, "_lapack", lambda name, n_args: lambda *args: args[-1].fill(1))
+    assert main(["spectrum", "--reference", "double_well", "-o", str(tmp_path)]) == 3
     assert "LAPACK info 1" in capsys.readouterr().err
 
 

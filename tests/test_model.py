@@ -1,4 +1,4 @@
-"""Chain kinematics: staggered bonds, the banded ring spectrum against a dense oracle, analytic ring bands."""
+"""Chain kinematics: staggered bonds, the chiral ring spectrum against a dense oracle, analytic ring bands."""
 
 import math
 
@@ -124,6 +124,20 @@ def test_ring_spectrum_matches_dense_oracle(big_l, loc):
     lambda half: st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2 * half, max_size=2 * half)))
 def test_ring_spectrum_matches_dense_oracle_on_any_positive_bonds(bonds):
     assert_matches_dense_oracle(np.array(bonds))
+
+
+@given(st.integers(1, 200).flatmap(
+    lambda half: st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2 * half, max_size=2 * half)))
+def test_ring_spectrum_is_exactly_symmetric(bonds):
+    # chiral symmetry: the values are -s then s from one set of singular values, bit for bit
+    spectrum = ring_spectrum(np.array(bonds))
+    assert np.array_equal(spectrum, -spectrum[::-1])
+
+
+@pytest.mark.parametrize("n", [3, 5, 129])
+def test_ring_spectrum_rejects_an_odd_ring(n):
+    with pytest.raises(ValueError, match="not bipartite"):
+        ring_spectrum(np.ones(n))
 
 
 def test_ring_spectrum_rejects_non_finite_bonds():
