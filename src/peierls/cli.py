@@ -1,13 +1,16 @@
 """Command-line front end and dataset emission.
 
-Subcommands: landscape, critical-points, spectrum, dynamics,
-kink-spectrum, kink-propagate, validate.  Every run writes a CSV dataset
-plus a metadata JSON embedding the effective config and a schema version,
-so any artifact can be re-run from its metadata alone.  Identical configs
-produce byte-identical CSV.  Datasets are written column by column: each
-distinct float of a column is formatted once (shortest round-trip repr).
-``--workers`` is accepted (and must be >= 1) but has no effect: landscape
-grids are evaluated as arrays in one process.
+Commands: landscape, critical-points, spectrum, dynamics, kink-spectrum,
+kink-propagate, validate.  One flat parser takes the command as its
+positional argument and the same five options for every command, before
+or after it; ``peierls --help`` lists the commands.  Every run writes a
+CSV dataset plus a metadata JSON embedding the effective config, the
+package version and a schema version, so any artifact can be re-run from
+its metadata alone.  Identical configs produce byte-identical CSV.
+Datasets are written column by column: each distinct float of a column
+is formatted once (shortest round-trip repr).  ``--workers`` is accepted
+(and must be >= 1) but has no effect: landscape grids are evaluated as
+arrays in one process.
 
 Exit codes: 0 ok, 1 validation failure, 2 config/domain error or any
 other out-of-range input (a ValueError), 3 numerical failure.
@@ -23,6 +26,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from . import __version__
 from .algebra import mode_energies
 from .config import ConfigError, RunConfig, _coerce, load_config, reference_config_path
 from .dynamics import PhaseState, integrate
@@ -60,6 +64,7 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Any]) -> Non
 def _write_metadata(path: Path, command: str, config: RunConfig, extra: dict[str, Any]) -> None:
     payload = {
         "schema": f"peierls/{command}/{SCHEMA_VERSION}",
+        "version": __version__,
         "config": config.as_dict(),
         **extra,
     }
@@ -68,7 +73,10 @@ def _write_metadata(path: Path, command: str, config: RunConfig, extra: dict[str
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one: exit 2, not a traceback
+        raise ConfigError(f"--out {args.out}: cannot make the output directory ({exc.strerror})") from exc
     return out
 
 
@@ -273,24 +281,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="peierls",
         description="Dimerized-chain energy landscapes, restricted dynamics, and kink propagation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} command")
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument(
-            "--reference",
-            choices=["double_well", "kink_dynamics"],
-            help="use a checked-in reference config (overridden by --config)",
-        )
-        p.add_argument("--out", "-o", default=".", help="output directory (default: current)")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a single config field (repeatable; highest precedence)",
-        )
-        p.add_argument("--workers", type=int, help="accepted for compatibility (>= 1); has no effect")
+    parser.add_argument("command", choices=list(_COMMANDS), help="the command to run")
+    parser.add_argument("--config", help="flat key=value config file")
+    parser.add_argument(
+        "--reference",
+        choices=["double_well", "kink_dynamics"],
+        help="use a checked-in reference config (overridden by --config)",
+    )
+    parser.add_argument("--out", "-o", default=".", help="output directory (default: current)")
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override a single config field (repeatable; highest precedence)",
+    )
+    parser.add_argument("--workers", type=int, help="accepted for compatibility (>= 1); has no effect")
     return parser
 
 

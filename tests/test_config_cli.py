@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -658,3 +659,70 @@ def test_cli_fuzz_exits_0_2_or_3(tmp_path_factory, command, reference, pairs):
     for pair in [*SMALL, *pairs]:
         argv += ["--set", pair]
     assert main(argv) in (0, 2, 3)
+
+
+# the kink_dynamics reference with every command's work cut to SMALL
+SMALL_OPTIONS = ["--reference", "kink_dynamics", *(arg for pair in SMALL for arg in ("--set", pair))]
+
+
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"validate"}))
+def test_cli_options_before_the_command_write_the_same_files(tmp_path, command):
+    # one flat parser: the options may come before the command, after it or on both sides
+    assert main([command, *SMALL_OPTIONS, "-o", str(tmp_path / "after")]) == 0
+    assert main([*SMALL_OPTIONS, "-o", str(tmp_path / "before"), command]) == 0
+    assert main([*SMALL_OPTIONS[:2], command, *SMALL_OPTIONS[2:], "-o", str(tmp_path / "around")]) == 0
+    written = {path.name: path.read_bytes() for path in (tmp_path / "after").iterdir()}
+    assert any(name.endswith(".csv") for name in written)
+    for form in ("before", "around"):
+        assert {path.name: path.read_bytes() for path in (tmp_path / form).iterdir()} == written
+
+
+def test_cli_set_values_do_not_carry_over_between_calls(tmp_path):
+    reference = load_config(reference_config_path("kink_dynamics")).kink_steps
+    assert reference != 3
+    for name, sets in (("first", ["--set", "kink_steps=3"]), ("second", [])):
+        assert main(["kink-spectrum", "--reference", "kink_dynamics", *sets, "-o", str(tmp_path / name)]) == 0
+    first, second = (json.loads((tmp_path / name / "kink_spectrum.json").read_text())["config"]["kink_steps"]
+                     for name in ("first", "second"))
+    assert (first, second) == (3, reference)
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--reference", "kink_dynamics"]])
+def test_cli_without_a_known_command_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: peierls")
+
+
+def test_cli_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    choices = {choice for group in re.findall(r"\{([^}]*)\}", out) for choice in group.split(",")}
+    assert set(COMMANDS) <= choices
+
+
+@pytest.mark.parametrize("under_a_file", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_cli_unusable_out_exits_2(tmp_path, capsys, command, under_a_file):
+    # an --out that cannot be a directory is a config error with one line, not a traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under_a_file else blocker
+    rc = main([command, *SMALL_OPTIONS, "-o", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: --out {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_cli_metadata_carries_the_package_version(tmp_path, command):
+    assert main([command, *SMALL_OPTIONS, "-o", str(tmp_path)]) == 0
+    (path,) = tmp_path.glob("*.json")
+    meta = json.loads(path.read_text())
+    assert meta["version"] == peierls.__version__
+    assert "version" not in meta["config"]
