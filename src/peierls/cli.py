@@ -7,8 +7,10 @@ or after it; ``peierls --help`` lists the commands.  Every run writes a
 CSV dataset plus a metadata JSON embedding the effective config, the
 package version and a schema version, so any artifact can be re-run from
 its metadata alone.  Identical configs produce byte-identical CSV.
-Datasets are written column by column: each distinct float of a column
-is formatted once (shortest round-trip repr).  ``--workers`` is accepted
+Datasets are formatted column by column: each distinct float of a column
+is formatted once (shortest round-trip repr).  Rows are then streamed to
+the file in blocks, so the writer holds the distinct texts, the index
+arrays and one block, never the whole file.  ``--workers`` is accepted
 (and must be >= 1) but has no effect: landscape grids are evaluated as
 arrays in one process.
 
@@ -22,7 +24,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,22 +45,33 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+_BLOCK_ROWS = 8192  # CSV rows joined and written at a time; bounds the writer's memory
+
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Any]) -> None:
     """Write equal-length columns as CSV rows.  A float64 column gets one
     shortest round-trip repr per distinct bit pattern (-0.0 and 0.0 stay
-    apart), gathered back by index; any other column is written with str."""
-    texts: list[Iterable[str]] = []
+    apart), gathered back by index; any other column is written with str.
+    Rows go out _BLOCK_ROWS at a time, the header with the first block, so
+    the whole file is never held as one string."""
+    cells: list[Callable[[slice], Iterable[str]]] = []
+    rows = 0
     for column in columns:
         arr = np.asarray(column)
+        rows = len(arr)
         if arr.dtype == np.float64:
             bits, inverse = np.unique(arr.view(np.int64), return_inverse=True)
             distinct = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-            texts.append(distinct[inverse])
+            cells.append(lambda block, distinct=distinct, inverse=inverse: distinct[inverse[block]])
         else:
-            texts.append(map(str, arr.tolist()))
-    lines = [",".join(header), *map(",".join, zip(*texts))]
-    path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+            cells.append(lambda block, arr=arr: map(str, arr[block].tolist()))
+    first = [",".join(header)]
+    with path.open("wb") as f:
+        for start in range(0, max(rows, 1), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            lines = [*first, *map(",".join, zip(*(cell(block) for cell in cells)))]
+            f.write(("\n".join(lines) + "\n").encode("ascii"))
+            first = []
 
 
 def _write_metadata(path: Path, command: str, config: RunConfig, extra: dict[str, Any]) -> None:

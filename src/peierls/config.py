@@ -165,11 +165,10 @@ def parse_config_file(path: str | Path) -> dict[str, Any]:
 
 def _env_overrides(environ: dict[str, str]) -> dict[str, Any]:
     values: dict[str, Any] = {}
-    for key, raw in environ.items():
-        if not key.startswith(ENV_PREFIX):
-            continue
-        field = key[len(ENV_PREFIX):].lower()
-        values[field] = _coerce(field, raw, f"environment variable {key}")
+    for key in environ:  # keys only: os.environ decodes a value on lookup, so only PEIERLS_ values are read
+        if key.startswith(ENV_PREFIX):
+            field = key[len(ENV_PREFIX):].lower()
+            values[field] = _coerce(field, environ[key], f"environment variable {key}")
     return values
 
 

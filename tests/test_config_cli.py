@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import peierls
 import peierls.algebra
-from peierls.cli import _COMMANDS as COMMANDS, _write_csv, main
+from peierls.cli import _BLOCK_ROWS, _COMMANDS as COMMANDS, _write_csv, main
 from peierls.config import (
     ConfigError,
     RunConfig,
@@ -262,6 +263,34 @@ def test_write_csv_matches_per_cell_oracle(tmp_path_factory, columns):
     header = [f"c{i}" for i in range(len(columns))]
     _write_csv(path, header, columns)
     assert path.read_bytes() == oracle_csv(header, columns)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+def test_write_csv_matches_oracle_across_blocks(tmp_path, rows):
+    # the last rows hold a -0.0 and a payload NaN seen in no earlier block, after 0.0 and a plain NaN
+    rng = np.random.default_rng(rows)
+    floats = rng.choice([0.0, 0.1, math.nan, 1e300, -2.5e-310], rows)
+    if rows >= 2:
+        floats[-2:] = [-0.0, PAYLOAD_NAN]
+    columns = [np.arange(rows), floats, rng.standard_normal(rows), [f"s{i % 7}" for i in range(rows)]]
+    path = tmp_path / "out.csv"
+    _write_csv(path, ["index", "edge", "normal", "label"], columns)
+    assert path.read_bytes() == oracle_csv(["index", "edge", "normal", "label"], columns)
+
+
+def test_write_csv_peak_memory_below_twice_the_file(tmp_path):
+    # the writer holds the distinct texts, the index arrays and one block of rows, never the whole file
+    rng = np.random.default_rng(0)
+    distinct = rng.standard_normal(16)
+    columns = [distinct[rng.integers(0, 16, 200_000)] for _ in range(3)]
+    path = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        _write_csv(path, ["a", "b", "c"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
 
 
 def test_cli_landscape_with_domain_cells_matches_oracle(tmp_path):
