@@ -2,27 +2,17 @@
 and kink propagation for an exponential electron-phonon coupling with a
 q-deformed mode algebra."""
 
-from .algebra import (
-    ModeEnergies,
-    deformed_mode_matrix,
-    lambda_discrepancy,
-    mode_eigenvalues,
-    mode_energies,
-    paper_lambda,
-    xi,
-)
+from .algebra import ModeEnergies, deformed_mode_matrix, mode_eigenvalues, mode_energies, xi
 from .config import ConfigError, RunConfig, load_config, reference_config_path
 from .dynamics import PhaseState, Trajectory, drive_kernel, integrate
 from .kink import (
     KinkConfiguration,
     KinkTrajectory,
     bond_order,
-    difference_operator,
     kink_position,
     kink_spectrum,
     propagate_kink,
     sublattice_svd,
-    zero_subspace,
 )
 from .landscape import (
     CriticalPoint,
@@ -42,6 +32,5 @@ from .model import (
     staggered_ring_bands,
     state_location,
 )
-from .special import elliptic_e, elliptic_k
 
 __version__ = "1.0.0"

@@ -7,10 +7,9 @@ matrices then stack as shape (..., 2, 2) and the eigenvalues come back
 elementwise, so callers evaluate all modes at once.
 
 Ground truth is the explicit 2x2 matrix built from the deformed
-generators; the closed-form eigenvalue expression is kept separately
-(`paper_lambda`) as a cross-check.  The two differ by a q^(2w) factor on
-the delta^2 term under the square root whenever w != 0; `lambda_discrepancy`
-quantifies it.
+generators.  The printed closed-form eigenvalues are a cross-check that
+lives in `peierls.validate`; they differ from the matrix's by a q^(2w)
+factor on the delta^2 term under the square root whenever w != 0.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ __all__ = [
     "mode_energies",
     "deformed_mode_matrix",
     "mode_eigenvalues",
-    "paper_lambda",
-    "lambda_discrepancy",
 ]
 
 # spin-1/2 generators of the undeformed algebra
@@ -99,19 +96,3 @@ def mode_eigenvalues(matrix: np.ndarray) -> tuple[float | np.ndarray, float | np
     root = np.hypot(0.5 * (a - d), b)
     return half_tr - root, half_tr + root
 
-
-def paper_lambda(params: ModelParams, mode: ModeEnergies) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """The closed-form eigenvalues, transcribed verbatim for cross-checking."""
-    q, w = params.q, params.w
-    xq = xi(q, w)
-    shift = -0.5 * mode.epsilon * (q - 1.0 / q) * q ** (2 * w) * xq
-    root = np.sqrt(q ** (2 * w) * mode.epsilon**2 + xq * mode.delta**2)
-    return shift - root, shift + root
-
-
-def lambda_discrepancy(params: ModelParams, mode: ModeEnergies) -> float | np.ndarray:
-    """Abs difference between matrix and closed-form eigenvalues, the larger
-    of the two branches, per mode."""
-    lm = mode_eigenvalues(deformed_mode_matrix(params, mode))
-    lp = paper_lambda(params, mode)
-    return np.maximum(np.abs(lm[0] - lp[0]), np.abs(lm[1] - lp[1]))

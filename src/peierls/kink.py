@@ -12,8 +12,8 @@ lower bidiagonal: LAPACK's dqds gives the spectrum to high relative
 accuracy, its bidiagonal divide and conquer gives the vectors, and
 propagation rotates the orbitals' coefficients in that basis.  This is
 the SSH chain (Su, Schrieffer & Heeger, PRL 42, 1698, 1979).  The
-omega_l = g - (c + (-)^l s) weights survive only in the three-site
-difference operator and its zero subspace, which `validate` checks.
+printed three-site difference operator, with weights
+omega_l = g - (c + (-)^l s), is a cross-check that lives in `validate`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ __all__ = [
     "KinkConfiguration",
     "kink_spectrum",
     "sublattice_svd",
-    "difference_operator",
-    "zero_subspace",
     "bond_order",
     "kink_position",
     "propagate_kink",
@@ -65,12 +63,6 @@ class KinkConfiguration:
         """Per-site sign of the amplitude z_j: (-)^j up to the wall site n, (-)^(j+1) beyond it."""
         j = np.arange(self.n_sites)
         return (-1.0) ** (j + (j > self.n))
-
-
-def _omega(params: ModelParams, loc: float, ell: int) -> float:
-    g = effective_coupling(params)
-    c, s = g * math.cosh(loc), g * math.sinh(loc)
-    return g - (c + (-1.0) ** ell * s)
 
 
 def _offdiagonal(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
@@ -142,36 +134,6 @@ def _bidiagonal(off: np.ndarray, vectors: bool) -> np.ndarray | tuple[np.ndarray
     if info[0]:
         raise np.linalg.LinAlgError(f"bidiagonal SVD of the kink chain failed (LAPACK info {info[0]})")
     return u.T, d[:n_filled], v[:n_filled, :n_filled]
-
-
-def difference_operator(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
-    """The printed difference operator: omega_n on bonds (n+1, n+2) and
-    -(omega_n) on (n, n+1); supported on sites {n, n+1, n+2}."""
-    if config.n > config.n_sites - 3:
-        raise ValueError("need n <= N - 3 for the difference operator")
-    loc = state_location(params, config.z)
-    om = _omega(params, loc, config.n)
-    n = config.n
-    d = np.zeros((config.n_sites, config.n_sites))
-    d[n + 1, n + 2] = d[n + 2, n + 1] = om
-    d[n, n + 1] = d[n + 1, n] = -om
-    return d
-
-
-def zero_subspace(
-    params: ModelParams, config: KinkConfiguration, tol: float = 1e-10
-) -> tuple[int, np.ndarray]:
-    """Kernel of the difference operator restricted to sites {n, n+1, n+2}.
-
-    Returns (dimension, orthonormal basis rows in the 3-site coordinates).
-    """
-    n = config.n
-    block = difference_operator(params, config)[n : n + 3, n : n + 3]
-    u, sv, _ = np.linalg.svd(block)
-    scale = max(1.0, float(sv[0]))
-    null_mask = sv < tol * scale
-    basis = u[:, null_mask].T
-    return int(null_mask.sum()), basis
 
 
 def bond_order(occupied: np.ndarray) -> np.ndarray:

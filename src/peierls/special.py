@@ -1,26 +1,16 @@
-"""Complete elliptic integrals, evaluated by ``scipy.special``.
+"""Helpers of the landscape's slope kernel for the complete elliptic integrals.
 
-Parameter convention: the argument is the *parameter* m = k^2, not the
-modulus k.  ``elliptic_e`` / ``elliptic_k`` are the bare integrals over
-[0, pi/2]; ``_e_derivatives`` gives dE/dm and its m-derivative from E, K.
-
-``scipy.special.ellipe`` / ``ellipk`` cover negative parameters (the
-imaginary-modulus transformation, Abramowitz & Stegun 17.4.17-18) and give
-E(0) = K(0) = pi/2 and E(1) = 1 exactly.  They also take arrays, which is
-how the landscape grid calls ``ellipe``; the scalar functions here add
-range and finiteness checks and return Python floats.
+The argument is the *parameter* m = k^2, not the modulus k.  E and K come
+from ``scipy.special`` where they are called; ``_check_finite`` rejects a
+non-finite m, and ``_e_derivatives`` gives dE/dm and (1 - m) d2E/dm2 from
+E and K.  The module has no public names.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.special import ellipe, ellipk
-
-__all__ = [
-    "elliptic_e",
-    "elliptic_k",
-]
+__all__: list[str] = []
 
 
 def _check_finite(m: float) -> float:
@@ -28,22 +18,6 @@ def _check_finite(m: float) -> float:
     if not math.isfinite(m):
         raise ValueError(f"elliptic parameter must be finite, got {m!r}")
     return m
-
-
-def elliptic_k(m: float) -> float:
-    """Complete elliptic integral of the first kind, parameter m < 1."""
-    m = _check_finite(m)
-    if m >= 1.0:
-        raise ValueError(f"elliptic_k requires m < 1, got {m}")
-    return float(ellipk(m))
-
-
-def elliptic_e(m: float) -> float:
-    """Complete elliptic integral of the second kind, parameter m <= 1."""
-    m = _check_finite(m)
-    if m > 1.0:
-        raise ValueError(f"elliptic_e requires m <= 1, got {m}")
-    return float(ellipe(m))
 
 
 # Maclaurin coefficients of dE/dm = (E - K)/(2m) = -(pi/8) sum c_n m^n

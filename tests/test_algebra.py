@@ -6,16 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from peierls.algebra import (
-    deformed_mode_matrix,
-    lambda_discrepancy,
-    mode_eigenvalues,
-    mode_energies,
-    paper_lambda,
-    xi,
-)
+from peierls.algebra import deformed_mode_matrix, mode_eigenvalues, mode_energies, xi
 from peierls.landscape import electronic_density_modesum
 from peierls.model import CoherentAmplitude, ModelParams
+from peierls.validate import _lambda_discrepancy as lambda_discrepancy, _paper_lambda as paper_lambda
 
 
 def params_at(q, w, big_l=16):

@@ -1,8 +1,10 @@
 """Configuration layering, CLI subcommands, artifacts, and determinism."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import struct
 import subprocess
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import peierls
-import peierls.algebra
+import peierls.validate
 from peierls.cli import _BLOCK_ROWS, _COMMANDS as COMMANDS, _write_csv, main
 from peierls.config import (
     ConfigError,
@@ -626,12 +628,21 @@ def test_cli_validate_passes_and_fault_injection(tmp_path, monkeypatch, capsys):
     assert report["passed"] is True
     assert report["info"]["real-space-to-mode-constant"] == pytest.approx(2.0, abs=1e-12)
     # a printed closed form off by 0.1% must fail exactly one check
-    printed = peierls.algebra.paper_lambda
-    monkeypatch.setattr(peierls.algebra, "paper_lambda", lambda p, mode: tuple(1.001 * v for v in printed(p, mode)))
+    printed = peierls.validate._paper_lambda
+    monkeypatch.setattr(peierls.validate, "_paper_lambda", lambda p, mode: tuple(1.001 * v for v in printed(p, mode)))
     assert main(["validate", "--reference", "kink_dynamics", "-o", str(tmp_path / "bad")]) == 1
     bad = json.loads((tmp_path / "bad" / "validation.json").read_text())["report"]
     failed = [c["name"] for c in bad["checks"] if not c["passed"]]
     assert failed == ["lambda-printed-vs-matrix"]
+
+
+def test_cli_validate_km1_agm_fault_injection(tmp_path, monkeypatch):
+    # the slope kernel's K = ellipkm1(p), off by 1e-12 relative, must fail exactly one check
+    km1 = peierls.validate.ellipkm1
+    monkeypatch.setattr(peierls.validate, "ellipkm1", lambda p: (1.0 + 1e-12) * km1(p))
+    assert main(["validate", "--reference", "double_well", "-o", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "validation.json").read_text())["report"]
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["elliptic-km1-agm"]
 
 
 def test_cli_rerun_from_metadata(tmp_path):
@@ -755,3 +766,17 @@ def test_cli_metadata_carries_the_package_version(tmp_path, command):
     meta = json.loads(path.read_text())
     assert meta["version"] == peierls.__version__
     assert "version" not in meta["config"]
+
+
+def test_public_surface_keeps_the_printed_formulas_private():
+    # the printed-formula cross-checks are validate's own helpers, not package API
+    moved = {"paper_lambda", "lambda_discrepancy", "difference_operator", "zero_subspace", "elliptic_e", "elliptic_k"}
+    assert not moved & set(vars(peierls))
+    for name in ("algebra", "kink", "special"):
+        assert not moved & set(importlib.import_module(f"peierls.{name}").__all__)
+    # every exported name resolves: perfbench's tracer wraps exactly these
+    modules = [info.name for info in pkgutil.iter_modules(peierls.__path__, "peierls.")]
+    assert {"peierls.algebra", "peierls.kink", "peierls.special", "peierls.validate"} <= set(modules)
+    for module in map(importlib.import_module, modules):
+        for attr in getattr(module, "__all__", ()):
+            getattr(module, attr)
