@@ -185,11 +185,14 @@ def cmd_dynamics(config: RunConfig, args: argparse.Namespace) -> int:
     x = np.array(traj.x)
     e_total = energy_densities(config.model_params(), 0.5 * x, 0.5 * x)["e_total"]
     _write_csv(out / "trajectory.csv", ["t", "x", "v", "e_total"], [traj.t, x, traj.v, e_total])
+    final, steps = traj.final, len(traj.t) - 1
+    residuals = {"abs_v": abs(final.v), "abs_dv_dt": abs(traj.dv_dt)} if steps else None  # the settle test's last pair
     _write_metadata(
         out / "trajectory.json",
         "dynamics",
         config,
-        {"termination": traj.termination, "final": {"t": traj.final.t, "x": traj.final.x, "v": traj.final.v}},
+        {"termination": traj.termination, "final": {"t": final.t, "x": final.x, "v": final.v},
+         "rk4_steps": steps, "settle_residuals": residuals},
     )
     return EXIT_OK
 

@@ -40,6 +40,7 @@ class Trajectory:
     x: list[float]
     v: list[float]
     termination: str = "completed"
+    dv_dt: float | None = None  # dv/dt at the start of the last completed step; None before the first
 
     @property
     def states(self) -> list[PhaseState]:
@@ -50,8 +51,15 @@ class Trajectory:
         return PhaseState(self.x[-1], self.v[-1], self.t[-1])
 
 
+def _drive_factors(zeta: float) -> tuple[float, float, float]:
+    """(sqrt 2, -2 sqrt 2/pi, -4 zeta/pi): u = sqrt(2)(zeta x + kappa p), P = -2 sqrt(2)/pi d1, P_x = -4 zeta/pi d2."""
+    root2 = math.sqrt(2.0)
+    return root2, -(2.0 * root2 / math.pi), -(4.0 * zeta / math.pi)
+
+
 def drive_kernel(params: ModelParams) -> Callable[[float, float], tuple[float, float]]:
-    """`drive(x, p)` -> the drive kernel P(x, p) and dP/dx at fixed p, from a `_slope_kernel` built once.
+    """`drive(x, p)` -> the drive kernel P(x, p) and dP/dx at fixed p, from a `_slope_kernel` and
+    `_drive_factors` built once; `integrate`'s stages apply the same factors to the same slopes.
 
     P(x, p) = -(2*sqrt(2)/pi) * dE_el/d(loc) at loc = u = sqrt(2)*(zeta*x + kappa*p),
     where dE_el/d(loc) is the slope of the continuum electronic density
@@ -63,20 +71,13 @@ def drive_kernel(params: ModelParams) -> Callable[[float, float], tuple[float, f
     """
     slopes = _slope_kernel(params)
     zeta, kappa = params.zeta, params.kappa
+    root2, p_scale, px_scale = _drive_factors(zeta)
 
     def drive(x: float, p: float) -> tuple[float, float]:
-        d1, d2 = slopes(math.sqrt(2.0) * (zeta * x + kappa * p))
-        # du/dx = sqrt(2) zeta; with zeta = 0 P does not depend on x (and d2 may be -inf)
-        return -(2.0 * math.sqrt(2.0) / math.pi) * d1, (-(4.0 * zeta / math.pi) * d2 if zeta else 0.0)
+        d1, d2 = slopes(root2 * (zeta * x + kappa * p))
+        return p_scale * d1, (px_scale * d2 if zeta else 0.0)  # zeta = 0: P does not depend on x (d2 may be -inf)
 
     return drive
-
-
-def _acceleration(drive: Callable[[float, float], tuple[float, float]], x: float, v: float) -> float:
-    """dv/dt = (x - P)(1 - P_x) - v P_x of the restricted oscillator, with P evaluated at p = x."""
-    pval, px = drive(x, x)
-    px = 0.0 if math.isinf(px) else px  # u = 0: the cusp's log singularity is integrable; a stage sample takes slope 0
-    return (x - pval) * (1.0 - px) - v * px
 
 
 def integrate(
@@ -88,24 +89,36 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 trajectory of the restricted equation of motion.
 
-    Aborts (with a recorded termination reason) if the state leaves the
-    elliptic domain or becomes non-finite.  With `settle_tol` set, stops
-    early once both |v| and |dv/dt| fall below the tolerance.
+    Each stage is one call of a per-run closure: one `_slope_kernel` call and
+    `drive_kernel`'s factors at p = x.  Aborts (with a recorded termination
+    reason) if the state leaves the elliptic domain or becomes non-finite.
+    With `settle_tol` set, stops early once |v| after a step and |dv/dt| at
+    its start (kept as `Trajectory.dv_dt`) both fall below the tolerance.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    drive = drive_kernel(params)
+    slopes = _slope_kernel(params)
+    zeta, kappa = params.zeta, params.kappa
+    root2, p_scale, px_scale = _drive_factors(zeta)
+    isinf = math.isinf
+
+    def acceleration(x: float, v: float) -> float:  # dv/dt = (x - P)(1 - P_x) - v P_x, P at p = x
+        d1, d2 = slopes(root2 * (zeta * x + kappa * x))
+        px = px_scale * d2 if zeta else 0.0
+        px = 0.0 if isinf(px) else px  # u = 0: the cusp's log singularity is integrable; a stage sample takes slope 0
+        return (x - p_scale * d1) * (1.0 - px) - v * px
+
     x, v, t = initial.x, initial.v, initial.t
     traj = Trajectory(t=[t], x=[x], v=[v])
     for _ in range(steps):
         try:
-            a1 = _acceleration(drive, x, v)
+            a1 = acceleration(x, v)
             v2 = v + 0.5 * dt * a1
-            a2 = _acceleration(drive, x + 0.5 * dt * v, v2)
+            a2 = acceleration(x + 0.5 * dt * v, v2)
             v3 = v + 0.5 * dt * a2
-            a3 = _acceleration(drive, x + 0.5 * dt * v2, v3)
+            a3 = acceleration(x + 0.5 * dt * v2, v3)
             v4 = v + dt * a3
-            a4 = _acceleration(drive, x + dt * v3, v4)
+            a4 = acceleration(x + dt * v3, v4)
         except DomainError:
             traj.termination = "domain-exit"
             break
@@ -118,6 +131,7 @@ def integrate(
         traj.t.append(t)
         traj.x.append(x)
         traj.v.append(v)
+        traj.dv_dt = a1
         if settle_tol is not None and abs(v) < settle_tol and abs(a1) < settle_tol:
             traj.termination = "settled"
             break

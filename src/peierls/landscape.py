@@ -21,7 +21,7 @@ from scipy.special import cython_special, ellipe
 
 from .algebra import deformed_mode_matrix, mode_eigenvalues, mode_energies, xi
 from .model import CoherentAmplitude, ModelParams, effective_coupling, state_location
-from .special import _check_finite, _e_derivatives
+from .special import _e_derivatives
 
 __all__ = [
     "DomainError",
@@ -66,20 +66,23 @@ def _slope_kernel(params: ModelParams) -> Callable[[float], tuple[float, float]]
     m -> 1 neither cancels nor divides by p.  At p = 0 (loc = 0) they are 0 and -inf, the Delta^2 ln Delta cusp."""
     xq = xi(params.q, params.w)
     pref = (2.0 / math.pi) * effective_coupling(params) * params.q**params.w
+    tanh, cosh, sinh, ellipe, ellipkm1 = math.tanh, math.cosh, math.sinh, cython_special.ellipe, cython_special.ellipkm1
 
     def slopes(loc: float) -> tuple[float, float]:
-        th = math.tanh(loc)
+        th = tanh(loc)
         p = xq * th * th
         if p == 0.0:
             return 0.0, -math.inf
-        m = _check_finite(1.0 - p)
-        if abs(m) > 1.0:
+        m = 1.0 - p
+        if not abs(m) <= 1.0:  # one comparison on the hot path; NaN lands here too
+            if not math.isfinite(m):
+                raise ValueError(f"elliptic parameter must be finite, got {m!r}")
             raise DomainError(f"elliptic parameter m={m} outside [-1, 1]; state location beyond convergence bound")
-        e = cython_special.ellipe(m)
-        e_m, p_e_mm = _e_derivatives(m, p, e, cython_special.ellipkm1(p))
-        ch = math.cosh(loc)
+        e = ellipe(m)
+        e_m, p_e_mm = _e_derivatives(m, p, e, ellipkm1(p))
+        ch = cosh(loc)
         d2 = -pref * (ch * e - 2.0 * xq * (e_m - 2.0 * p_e_mm) / (ch * ch * ch))
-        return -pref * math.sinh(loc) * (e - 2.0 * xq * e_m / (ch * ch)), d2
+        return -pref * sinh(loc) * (e - 2.0 * xq * e_m / (ch * ch)), d2
 
     return slopes
 

@@ -1,9 +1,6 @@
-"""Helpers of the landscape's slope kernel for the complete elliptic integrals.
-
-The argument is the *parameter* m = k^2, not the modulus k.  E and K come
-from ``scipy.special`` where they are called; ``_check_finite`` rejects a
-non-finite m, and ``_e_derivatives`` gives dE/dm and (1 - m) d2E/dm2 from
-E and K.  The module has no public names.
+"""`_e_derivatives`, the landscape slope kernel's one elliptic-derivative routine: dE/dm and
+(1 - m) d2E/dm2 from E and K of the *parameter* m = k^2 (not the modulus k), which the kernel
+takes from ``scipy.special``.  The module has no public names.
 """
 
 from __future__ import annotations
@@ -11,13 +8,6 @@ from __future__ import annotations
 import math
 
 __all__: list[str] = []
-
-
-def _check_finite(m: float) -> float:
-    m = float(m)
-    if not math.isfinite(m):
-        raise ValueError(f"elliptic parameter must be finite, got {m!r}")
-    return m
 
 
 # Maclaurin coefficients of dE/dm = (E - K)/(2m) = -(pi/8) sum c_n m^n

@@ -533,6 +533,27 @@ def test_cli_dynamics_e_total_is_total_density_at_z_half_x(tmp_path):
         assert e_total == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "sets",
+    [[], ["--set", "x0=0.03", "--set", "steps=40"], ["--set", "q=1.5", "--set", "w=-3", "--set", "x0=5"]],
+    ids=["settled", "completed", "domain-exit-at-first-step"],
+)
+def test_cli_dynamics_metadata_counts_rk4_steps_and_settle_residuals(tmp_path, sets):
+    assert main(["dynamics", "--reference", "kink_dynamics", "-o", str(tmp_path), *sets]) == 0
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    meta = json.loads((tmp_path / "trajectory.json").read_text())
+    assert meta["rk4_steps"] == len(rows) - 1
+    assert "rk4_steps" not in meta["config"] and "settle_residuals" not in meta["config"]
+    residuals = meta["settle_residuals"]
+    if meta["rk4_steps"] == 0:
+        assert residuals is None
+        return
+    assert residuals["abs_v"] == abs(float(rows[-1].split(",")[2]))
+    tol = load_config(reference_config_path("kink_dynamics")).settle_tol
+    settled = residuals["abs_v"] < tol and residuals["abs_dv_dt"] < tol
+    assert settled == (meta["termination"] == "settled")
+
+
 def test_cli_kink_spectrum_overflowing_z_exits_2_without_a_warning(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

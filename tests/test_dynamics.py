@@ -133,6 +133,54 @@ def test_one_integrate_step_is_a_hand_rk4_step_of_ode_rhs(x, v):
     assert traj.final.t == dt
 
 
+def hand_rk4(params, x, v, dt, steps, settle_tol=None):
+    """`integrate`'s loop written out on `ode_rhs`: the (t, x, v) lists, the termination and the last k1 dv/dt."""
+    t, ts, xs, vs, dv_dt = 0.0, [0.0], [x], [v], None
+    for _ in range(steps):
+        try:
+            k1 = ode_rhs(params, PhaseState(x, v))
+            k2 = ode_rhs(params, PhaseState(x + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1]))
+            k3 = ode_rhs(params, PhaseState(x + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1]))
+            k4 = ode_rhs(params, PhaseState(x + dt * k3[0], v + dt * k3[1]))
+        except DomainError:
+            return ts, xs, vs, "domain-exit", dv_dt
+        x += dt * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
+        v += dt * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
+        t += dt
+        if not (math.isfinite(x) and math.isfinite(v)):
+            return ts, xs, vs, "non-finite", dv_dt
+        ts.append(t)
+        xs.append(x)
+        vs.append(v)
+        dv_dt = k1[1]
+        if settle_tol is not None and abs(v) < settle_tol and abs(dv_dt) < settle_tol:
+            return ts, xs, vs, "settled", dv_dt
+    return ts, xs, vs, "completed", dv_dt
+
+
+@pytest.mark.parametrize("case", ["reference", "short", "domain-exit", "cusp"])
+def test_whole_integrate_run_is_a_hand_rk4_loop_of_ode_rhs(case):
+    # bit for bit over every step: `integrate`'s stage closure and `drive_kernel` (inside
+    # `ode_rhs`) must stay one formula, with the same factors, operands and order
+    cfg = reference_config()
+    params, dt, steps, settle_tol = cfg.model_params(), cfg.dt, cfg.steps, cfg.settle_tol
+    x, v, expected = {
+        "reference": (cfg.x0, cfg.v0, "settled"),
+        "short": (0.03, 0.0, "completed"),
+        "domain-exit": (0.4, 2.0, "domain-exit"),
+        "cusp": (0.0, 0.1, "settled"),  # the first stage samples the cusp at u = 0
+    }[case]
+    if case == "short":
+        steps, settle_tol = 60, None
+    elif case == "domain-exit":
+        params, dt, steps, settle_tol = ModelParams(t=0.01, zeta=1.0, kappa=0.0, big_l=8, q=1.5, w=-3.0), 0.05, 2000, None
+    traj = integrate(params, PhaseState(x, v), dt, steps, settle_tol=settle_tol)
+    ts, xs, vs, termination, dv_dt = hand_rk4(params, x, v, dt, steps, settle_tol)
+    assert termination == traj.termination == expected
+    assert (traj.t, traj.x, traj.v, traj.dv_dt) == (ts, xs, vs, dv_dt)
+    assert len(ts) > 2
+
+
 def test_start_on_cusp_with_velocity_settles():
     # the first RK4 stage samples u = 0 exactly, where the slope is infinite
     cfg = reference_config()
