@@ -6,13 +6,17 @@ positional argument and the same five options for every command, before
 or after it; ``peierls --help`` lists the commands.  Every run writes a
 CSV dataset plus a metadata JSON embedding the effective config, the
 package version and a schema version, so any artifact can be re-run from
-its metadata alone.  Identical configs produce byte-identical CSV.
+its metadata alone.  Identical configs produce byte-identical CSV; the
+seconds spent on config, compute and write go only into the JSON, as
+``timings_s`` outside the config.
 Datasets are formatted column by column: each distinct float of a column
 is formatted once (shortest round-trip repr).  Rows are then streamed to
 the file in blocks, so the writer holds the distinct texts, the index
 arrays and one block, never the whole file.  ``--workers`` is accepted
 (and must be >= 1) but has no effect: landscape grids are evaluated as
-arrays in one process.
+arrays in one process.  The import loads numpy and no scipy: landscape,
+critical-points and dynamics load ``scipy.special`` (E and K), spectrum and
+the kink commands ``scipy.linalg`` (LAPACK), each at its first use.
 
 Exit codes: 0 ok, 1 validation failure, 2 config/domain error or any
 other out-of-range input (a ValueError), 3 numerical failure.
@@ -24,6 +28,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -74,17 +79,24 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Any]) -> Non
             first = []
 
 
-def _write_metadata(path: Path, command: str, config: RunConfig, extra: dict[str, Any]) -> None:
+def _write_metadata(path: Path, command: str, config: RunConfig, extra: dict[str, Any], stamps: list[float]) -> None:
+    """`stamps` holds the `perf_counter` readings at the start and after the config and the compute (see
+    `_out_dir`); the reading taken here ends the write, which covers the CSV but not this file."""
+    stamps.append(perf_counter())
     payload = {
         "schema": f"peierls/{command}/{SCHEMA_VERSION}",
         "version": __version__,
         "config": config.as_dict(),
+        "timings_s": {stage: b - a for stage, a, b in zip(("config", "compute", "write"), stamps, stamps[1:])},
         **extra,
     }
     path.write_bytes((json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("ascii"))
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
+def _out_dir(args: argparse.Namespace, stamps: list[float]) -> Path:
+    """The output directory, made if missing.  Every command asks for it once its results are computed,
+    so the `perf_counter` reading appended to `stamps` here ends the compute stage."""
+    stamps.append(perf_counter())
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -93,7 +105,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_landscape(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_landscape(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing cells get the status "non-finite"
         grid = landscape_grid(
             config.model_params(),
@@ -103,7 +115,7 @@ def cmd_landscape(config: RunConfig, args: argparse.Namespace) -> int:
         )
     names = ["re", "im", "e_phonon", "e_electronic", "e_total"]
     in_domain = grid["in_domain"]
-    out = _out_dir(args)
+    out = _out_dir(args, stamps)
     labels = np.array(["ok", "domain", "non-finite"], dtype=object)  # shared strings, not a fixed width per cell
     status = labels[np.where(np.isfinite(grid["e_total"]), 0, 1 + in_domain)]
     _write_csv(out / "landscape.csv", [*names, "status"], [*(grid[name] for name in names), status])
@@ -112,11 +124,12 @@ def cmd_landscape(config: RunConfig, args: argparse.Namespace) -> int:
         "landscape",
         config,
         {"cells": in_domain.size, "domain_cells": int(np.count_nonzero(~in_domain))},
+        stamps,
     )
     return EXIT_OK
 
 
-def cmd_critical_points(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_critical_points(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
     points = find_critical_points(
         config.model_params(),
         config.seeds(),
@@ -124,7 +137,7 @@ def cmd_critical_points(config: RunConfig, args: argparse.Namespace) -> int:
         max_step=config.max_step,
     )
     counts = {kind: sum(p.kind == kind for p in points) for kind in ("minimum", "saddle", "maximum", "marginal")}
-    out = _out_dir(args)
+    out = _out_dir(args, stamps)
     _write_csv(
         out / "critical_points.csv",
         ["kind", "re", "im", "gradient_norm", "hessian_eig_low", "hessian_eig_high"],
@@ -141,11 +154,12 @@ def cmd_critical_points(config: RunConfig, args: argparse.Namespace) -> int:
             "newton_evaluations": points.evaluations,
             "max_gradient_norm": max((p.gradient_norm for p in points), default=None),
         },
+        stamps,
     )
     return EXIT_OK
 
 
-def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_spectrum(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
     params = config.model_params()
     z = CoherentAmplitude(config.z_re, config.z_im)
     real_space = ring_spectrum(staggered_bonds(params, z))
@@ -155,7 +169,7 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
     modes = np.sort(np.concatenate((-r, r)))
     nonzero = np.abs(modes) > 1e-300
     constant = float(np.median(real_space[nonzero] / modes[nonzero])) if nonzero.any() else None
-    out = _out_dir(args)
+    out = _out_dir(args, stamps)
     _write_csv(
         out / "spectrum.csv",
         ["index", "real_space", "mode_value"],
@@ -166,11 +180,12 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
         "spectrum",
         config,
         {"proportionality_constant": constant, "max_band_error": band_error},
+        stamps,
     )
     return EXIT_OK
 
 
-def cmd_dynamics(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_dynamics(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
     traj = integrate(
         config.model_params(),
         PhaseState(config.x0, config.v0),
@@ -181,9 +196,9 @@ def cmd_dynamics(config: RunConfig, args: argparse.Namespace) -> int:
     if traj.termination == "non-finite":
         print("error: trajectory became non-finite", file=sys.stderr)
         return EXIT_NUMERICAL
-    out = _out_dir(args)
     x = np.array(traj.x)
     e_total = energy_densities(config.model_params(), 0.5 * x, 0.5 * x)["e_total"]
+    out = _out_dir(args, stamps)
     _write_csv(out / "trajectory.csv", ["t", "x", "v", "e_total"], [traj.t, x, traj.v, e_total])
     final, steps = traj.final, len(traj.t) - 1
     residuals = {"abs_v": abs(final.v), "abs_dv_dt": abs(traj.dv_dt)} if steps else None  # the settle test's last pair
@@ -193,11 +208,12 @@ def cmd_dynamics(config: RunConfig, args: argparse.Namespace) -> int:
         config,
         {"termination": traj.termination, "final": {"t": final.t, "x": final.x, "v": final.v},
          "rk4_steps": steps, "settle_residuals": residuals},
+        stamps,
     )
     return EXIT_OK
 
 
-def cmd_kink_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_kink_spectrum(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
     params = config.model_params()
     kcfg = KinkConfiguration(
         n=config.kink_site,
@@ -205,7 +221,7 @@ def cmd_kink_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
         n_sites=config.n_sites,
     )
     evals, lowest, in_gap = kink_spectrum(params, kcfg)
-    out = _out_dir(args)
+    out = _out_dir(args, stamps)
     _write_csv(
         out / "kink_spectrum.csv",
         ["index", "eigenvalue", "in_gap"],
@@ -216,11 +232,12 @@ def cmd_kink_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
         "kink-spectrum",
         config,
         {"lowest": lowest, "in_gap_count": int(in_gap.sum())},
+        stamps,
     )
     return EXIT_OK
 
 
-def cmd_kink_propagate(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_kink_propagate(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
     traj = propagate_kink(
         config.model_params(),
         CoherentAmplitude(config.z_re, config.z_im),
@@ -231,7 +248,7 @@ def cmd_kink_propagate(config: RunConfig, args: argparse.Namespace) -> int:
         initial_anchor_offset=config.anchor_offset,
         hysteresis=config.hysteresis,
     )
-    out = _out_dir(args)
+    out = _out_dir(args, stamps)
     _write_csv(
         out / "kink_trajectory.csv",
         ["t", "re_z", "im_z", "kink_position", "energy", "n_anchor"],
@@ -251,16 +268,17 @@ def cmd_kink_propagate(config: RunConfig, args: argparse.Namespace) -> int:
             "orthonormality_error": traj.orthonormality_error,
             "anchor_hops": int(np.count_nonzero(np.diff(traj.anchors))),
         },
+        stamps,
     )
     return EXIT_OK
 
 
-def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_validate(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
     from .validate import run_validation  # scipy.integrate is needed by this command only
 
     report = run_validation(config.model_params())
-    out = _out_dir(args)
-    _write_metadata(out / "validation.json", "validate", config, {"report": report.as_dict()})
+    out = _out_dir(args, stamps)
+    _write_metadata(out / "validation.json", "validate", config, {"report": report.as_dict()}, stamps)
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"{status} {check.name}: measured {check.measured:.3e} (threshold {check.threshold:.1e})")
@@ -318,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    stamps = [perf_counter()]
     try:
         overrides = _parse_overrides(args.set)
         if args.workers is not None:
@@ -326,7 +345,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if config_file is None and args.reference is not None:
             config_file = reference_config_path(args.reference)
         config = load_config(config_file, overrides)
-        return _COMMANDS[args.command](config, args)
+        stamps.append(perf_counter())
+        return _COMMANDS[args.command](config, args, stamps)
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

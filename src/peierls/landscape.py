@@ -7,7 +7,10 @@ Newton iteration on the analytic gradient and Hessian and classified by
 the Hessian's eigenvalues; the off-origin double minimum together with
 the saddle at the origin is the numerical Peierls check.  Grids are
 evaluated as numpy arrays in one process; the ``workers`` config field and
-``--workers`` flag are accepted and have no effect.
+``--workers`` flag are accepted and have no effect.  E and K come from
+``scipy.special``, which only the two functions that evaluate them,
+`_slope_kernel` and `energy_densities`, import: importing this module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
-from scipy.special import cython_special, ellipe
 
 from .algebra import deformed_mode_matrix, mode_eigenvalues, mode_energies, xi
 from .model import CoherentAmplitude, ModelParams, effective_coupling, state_location
@@ -64,6 +66,8 @@ def _slope_kernel(params: ModelParams) -> Callable[[float], tuple[float, float]]
     - 2 xi_q (E_m - 2 p E_mm) / cosh^3), E_m = dE/dm, xi_q and p_q = (2/pi) g q^w computed once, E(m) and
     K = ellipkm1(p) from ``cython_special`` (no ufunc dispatch), p = 1 - m = xi_q tanh(loc)^2 formed directly so
     m -> 1 neither cancels nor divides by p.  At p = 0 (loc = 0) they are 0 and -inf, the Delta^2 ln Delta cusp."""
+    from scipy.special import cython_special  # loaded by the first kernel build, not with every command
+
     xq = xi(params.q, params.w)
     pref = (2.0 / math.pi) * effective_coupling(params) * params.q**params.w
     tanh, cosh, sinh, ellipe, ellipkm1 = math.tanh, math.cosh, math.sinh, cython_special.ellipe, cython_special.ellipkm1
@@ -121,6 +125,8 @@ def energy_densities(params: ModelParams, re: float | np.ndarray, im: float | np
     The phonon density is `phonon_density`; the electronic one is -p_q E(m_q) with
     p_q = (2/pi) g q^w cosh(loc) and m_q = 1 - xi_q tanh(loc)^2, even in z.  ``in_domain``
     is False where m_q leaves [-1, 1], and those cells have NaN energies."""
+    from scipy.special import ellipe  # loaded by the first evaluation, as in `_slope_kernel`
+
     re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     loc = state_location(params, CoherentAmplitude(re, im))
     th = np.tanh(loc)

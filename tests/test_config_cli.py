@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -225,6 +226,47 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     assert landscape_path == [[None, False], [0, False], [0, False], [0, False]]
     assert cold_run(argv("kink-spectrum")) == [[None, False], [0, True]]
     assert cold_run(argv("spectrum")) == [[None, False], [0, True]]
+
+
+IMPORT_MAP_RUN = """\
+import json, sys
+import peierls.cli
+from peierls.config import load_config, reference_config_path
+load_config(reference_config_path("kink_dynamics"))
+code = None
+if len(sys.argv) > 1:
+    try:
+        code = peierls.cli.main(json.loads(sys.argv[1]))
+    except SystemExit as exc:  # --help
+        code = exc.code
+print(json.dumps([code, [m for m in ("scipy.special", "scipy.linalg", "scipy.integrate") if m in sys.modules]]))
+"""
+
+
+def test_cli_commands_load_only_the_scipy_paths_they_evaluate(tmp_path):
+    # E and K (scipy.special) only where the continuum density or the slope kernel is evaluated,
+    # LAPACK (scipy.linalg) only where a ring or kink spectrum is solved, quad only in validate
+    def import_map(*argv):
+        """[exit code, loaded scipy subpackages] after the import, a config load and `argv`,
+        in a fresh interpreter."""
+        env = {**os.environ, "PYTHONPATH": str(Path(peierls.__file__).parents[1])}
+        run = [sys.executable, "-c", IMPORT_MAP_RUN, *([json.dumps(argv)] if argv else [])]
+        proc = subprocess.run(run, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    special, linalg, integrate = "scipy.special", "scipy.linalg", "scipy.integrate"
+    expected = {
+        "landscape": [special], "critical-points": [special], "dynamics": [special],
+        "spectrum": [linalg], "kink-spectrum": [linalg], "kink-propagate": [linalg],
+        "validate": [special, linalg, integrate],
+    }
+    assert set(expected) == set(COMMANDS)
+    assert import_map() == [None, []]
+    for command, loaded in expected.items():
+        assert import_map(command, *SMALL_OPTIONS, "-o", str(tmp_path / command)) == [0, loaded], command
+    assert import_map("--help") == [0, []]
+    assert import_map("kink-spectrum", "--set", "t=-1", "-o", str(tmp_path / "config-error")) == [2, []]
 
 
 def oracle_csv(header, columns):
@@ -726,16 +768,27 @@ def test_cli_fuzz_exits_0_2_or_3(tmp_path_factory, command, reference, pairs):
 SMALL_OPTIONS = ["--reference", "kink_dynamics", *(arg for pair in SMALL for arg in ("--set", pair))]
 
 
+def without_timings(directory):
+    """Each file's bytes, a metadata JSON's with its run-dependent ``timings_s`` taken out."""
+    def content(path):
+        if path.suffix != ".json":
+            return path.read_bytes()
+        meta = json.loads(path.read_text())
+        del meta["timings_s"]
+        return meta
+    return {path.name: content(path) for path in directory.iterdir()}
+
+
 @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"validate"}))
 def test_cli_options_before_the_command_write_the_same_files(tmp_path, command):
     # one flat parser: the options may come before the command, after it or on both sides
     assert main([command, *SMALL_OPTIONS, "-o", str(tmp_path / "after")]) == 0
     assert main([*SMALL_OPTIONS, "-o", str(tmp_path / "before"), command]) == 0
     assert main([*SMALL_OPTIONS[:2], command, *SMALL_OPTIONS[2:], "-o", str(tmp_path / "around")]) == 0
-    written = {path.name: path.read_bytes() for path in (tmp_path / "after").iterdir()}
+    written = without_timings(tmp_path / "after")
     assert any(name.endswith(".csv") for name in written)
     for form in ("before", "around"):
-        assert {path.name: path.read_bytes() for path in (tmp_path / form).iterdir()} == written
+        assert without_timings(tmp_path / form) == written
 
 
 def test_cli_set_values_do_not_carry_over_between_calls(tmp_path):
@@ -787,6 +840,21 @@ def test_cli_metadata_carries_the_package_version(tmp_path, command):
     meta = json.loads(path.read_text())
     assert meta["version"] == peierls.__version__
     assert "version" not in meta["config"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_cli_metadata_times_config_compute_and_write(tmp_path, command):
+    start = time.perf_counter()
+    assert main([command, *SMALL_OPTIONS, "-o", str(tmp_path)]) == 0
+    elapsed = time.perf_counter() - start
+    (path,) = tmp_path.glob("*.json")
+    meta = json.loads(path.read_text())
+    timings = meta["timings_s"]
+    assert sorted(timings) == ["compute", "config", "write"]
+    assert all(math.isfinite(s) and s >= 0.0 for s in timings.values())
+    # consecutive stages of the one call: together they fit inside its wall time
+    assert sum(timings.values()) <= elapsed
+    assert "timings_s" not in meta["config"]
 
 
 def test_public_surface_keeps_the_printed_formulas_private():
