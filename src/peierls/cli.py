@@ -3,10 +3,13 @@
 Commands: landscape, critical-points, spectrum, dynamics, kink-spectrum,
 kink-propagate, validate.  One flat parser takes the command as its
 positional argument and the same five options for every command, before
-or after it; ``peierls --help`` lists the commands.  Every run writes a
-CSV dataset plus a metadata JSON embedding the effective config, the
-package version and a schema version, so any artifact can be re-run from
-its metadata alone.  Identical configs produce byte-identical CSV; the
+or after it; ``peierls --help`` lists the commands.  Each command is a
+function of the config that returns what it computed and writes nothing;
+`main` alone makes ``--out`` and writes the result: a CSV dataset (every
+command but validate) plus a metadata JSON embedding the effective
+config, the package version and a schema version, so any artifact can be
+re-run from its metadata alone.  validate prints its report once the
+files are written.  Identical configs produce byte-identical CSV; the
 seconds spent on config, compute and write go only into the JSON, as
 ``timings_s`` outside the config.
 Datasets are formatted column by column: each distinct float of a column
@@ -29,7 +32,7 @@ import json
 import sys
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,33 +82,20 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Any]) -> Non
             first = []
 
 
-def _write_metadata(path: Path, command: str, config: RunConfig, extra: dict[str, Any], stamps: list[float]) -> None:
-    """`stamps` holds the `perf_counter` readings at the start and after the config and the compute (see
-    `_out_dir`); the reading taken here ends the write, which covers the CSV but not this file."""
-    stamps.append(perf_counter())
-    payload = {
-        "schema": f"peierls/{command}/{SCHEMA_VERSION}",
-        "version": __version__,
-        "config": config.as_dict(),
-        "timings_s": {stage: b - a for stage, a, b in zip(("config", "compute", "write"), stamps, stamps[1:])},
-        **extra,
-    }
-    path.write_bytes((json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("ascii"))
+class _Result(NamedTuple):
+    """What a command computed.  `main` writes `<stem>.csv` from `header` and `columns` (no CSV
+    without a header) and `<stem>.json` with `extra` beside the config, then prints `lines` and
+    returns `code`."""
+
+    stem: str
+    extra: dict[str, Any]
+    header: Sequence[str] | None = None
+    columns: Sequence[Any] = ()
+    lines: Sequence[str] = ()
+    code: int = EXIT_OK
 
 
-def _out_dir(args: argparse.Namespace, stamps: list[float]) -> Path:
-    """The output directory, made if missing.  Every command asks for it once its results are computed,
-    so the `perf_counter` reading appended to `stamps` here ends the compute stage."""
-    stamps.append(perf_counter())
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # an existing file, or a path under one: exit 2, not a traceback
-        raise ConfigError(f"--out {args.out}: cannot make the output directory ({exc.strerror})") from exc
-    return out
-
-
-def cmd_landscape(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
+def cmd_landscape(config: RunConfig) -> _Result:
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing cells get the status "non-finite"
         grid = landscape_grid(
             config.model_params(),
@@ -115,21 +105,17 @@ def cmd_landscape(config: RunConfig, args: argparse.Namespace, stamps: list[floa
         )
     names = ["re", "im", "e_phonon", "e_electronic", "e_total"]
     in_domain = grid["in_domain"]
-    out = _out_dir(args, stamps)
     labels = np.array(["ok", "domain", "non-finite"], dtype=object)  # shared strings, not a fixed width per cell
     status = labels[np.where(np.isfinite(grid["e_total"]), 0, 1 + in_domain)]
-    _write_csv(out / "landscape.csv", [*names, "status"], [*(grid[name] for name in names), status])
-    _write_metadata(
-        out / "landscape.json",
+    return _Result(
         "landscape",
-        config,
         {"cells": in_domain.size, "domain_cells": int(np.count_nonzero(~in_domain))},
-        stamps,
+        [*names, "status"],
+        [*(grid[name] for name in names), status],
     )
-    return EXIT_OK
 
 
-def cmd_critical_points(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
+def cmd_critical_points(config: RunConfig) -> _Result:
     points = find_critical_points(
         config.model_params(),
         config.seeds(),
@@ -137,29 +123,17 @@ def cmd_critical_points(config: RunConfig, args: argparse.Namespace, stamps: lis
         max_step=config.max_step,
     )
     counts = {kind: sum(p.kind == kind for p in points) for kind in ("minimum", "saddle", "maximum", "marginal")}
-    out = _out_dir(args, stamps)
-    _write_csv(
-        out / "critical_points.csv",
+    return _Result(
+        "critical_points",
+        {"counts": counts, "seeds": points.seeds, "newton_evaluations": points.evaluations,
+         "max_gradient_norm": max((p.gradient_norm for p in points), default=None)},
         ["kind", "re", "im", "gradient_norm", "hessian_eig_low", "hessian_eig_high"],
         [[p.kind for p in points], *([p.location[i] for p in points] for i in (0, 1)),
          [p.gradient_norm for p in points], *([p.hessian_eigs[i] for p in points] for i in (0, 1))],
     )
-    _write_metadata(
-        out / "critical_points.json",
-        "critical-points",
-        config,
-        {
-            "counts": counts,
-            "seeds": points.seeds,
-            "newton_evaluations": points.evaluations,
-            "max_gradient_norm": max((p.gradient_norm for p in points), default=None),
-        },
-        stamps,
-    )
-    return EXIT_OK
 
 
-def cmd_spectrum(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
+def cmd_spectrum(config: RunConfig) -> _Result:
     params = config.model_params()
     z = CoherentAmplitude(config.z_re, config.z_im)
     real_space = ring_spectrum(staggered_bonds(params, z))
@@ -169,23 +143,15 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace, stamps: list[float
     modes = np.sort(np.concatenate((-r, r)))
     nonzero = np.abs(modes) > 1e-300
     constant = float(np.median(real_space[nonzero] / modes[nonzero])) if nonzero.any() else None
-    out = _out_dir(args, stamps)
-    _write_csv(
-        out / "spectrum.csv",
+    return _Result(
+        "spectrum",
+        {"proportionality_constant": constant, "max_band_error": band_error},
         ["index", "real_space", "mode_value"],
         [np.arange(len(real_space)), real_space, modes],
     )
-    _write_metadata(
-        out / "spectrum.json",
-        "spectrum",
-        config,
-        {"proportionality_constant": constant, "max_band_error": band_error},
-        stamps,
-    )
-    return EXIT_OK
 
 
-def cmd_dynamics(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
+def cmd_dynamics(config: RunConfig) -> _Result:
     traj = integrate(
         config.model_params(),
         PhaseState(config.x0, config.v0),
@@ -194,26 +160,21 @@ def cmd_dynamics(config: RunConfig, args: argparse.Namespace, stamps: list[float
         settle_tol=config.settle_tol if config.settle_tol > 0 else None,
     )
     if traj.termination == "non-finite":
-        print("error: trajectory became non-finite", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise FloatingPointError("trajectory became non-finite")
     x = np.array(traj.x)
     e_total = energy_densities(config.model_params(), 0.5 * x, 0.5 * x)["e_total"]
-    out = _out_dir(args, stamps)
-    _write_csv(out / "trajectory.csv", ["t", "x", "v", "e_total"], [traj.t, x, traj.v, e_total])
     final, steps = traj.final, len(traj.t) - 1
     residuals = {"abs_v": abs(final.v), "abs_dv_dt": abs(traj.dv_dt)} if steps else None  # the settle test's last pair
-    _write_metadata(
-        out / "trajectory.json",
-        "dynamics",
-        config,
+    return _Result(
+        "trajectory",
         {"termination": traj.termination, "final": {"t": final.t, "x": final.x, "v": final.v},
          "rk4_steps": steps, "settle_residuals": residuals},
-        stamps,
+        ["t", "x", "v", "e_total"],
+        [traj.t, x, traj.v, e_total],
     )
-    return EXIT_OK
 
 
-def cmd_kink_spectrum(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
+def cmd_kink_spectrum(config: RunConfig) -> _Result:
     params = config.model_params()
     kcfg = KinkConfiguration(
         n=config.kink_site,
@@ -221,23 +182,15 @@ def cmd_kink_spectrum(config: RunConfig, args: argparse.Namespace, stamps: list[
         n_sites=config.n_sites,
     )
     evals, lowest, in_gap = kink_spectrum(params, kcfg)
-    out = _out_dir(args, stamps)
-    _write_csv(
-        out / "kink_spectrum.csv",
+    return _Result(
+        "kink_spectrum",
+        {"lowest": lowest, "in_gap_count": int(in_gap.sum())},
         ["index", "eigenvalue", "in_gap"],
         [np.arange(len(evals)), evals, in_gap.astype(int)],
     )
-    _write_metadata(
-        out / "kink_spectrum.json",
-        "kink-spectrum",
-        config,
-        {"lowest": lowest, "in_gap_count": int(in_gap.sum())},
-        stamps,
-    )
-    return EXIT_OK
 
 
-def cmd_kink_propagate(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
+def cmd_kink_propagate(config: RunConfig) -> _Result:
     traj = propagate_kink(
         config.model_params(),
         CoherentAmplitude(config.z_re, config.z_im),
@@ -248,19 +201,10 @@ def cmd_kink_propagate(config: RunConfig, args: argparse.Namespace, stamps: list
         initial_anchor_offset=config.anchor_offset,
         hysteresis=config.hysteresis,
     )
-    out = _out_dir(args, stamps)
-    _write_csv(
-        out / "kink_trajectory.csv",
-        ["t", "re_z", "im_z", "kink_position", "energy", "n_anchor"],
-        [traj.times, np.full(len(traj.times), config.z_re), np.full(len(traj.times), config.z_im),
-         traj.positions, traj.energies, traj.anchors],
-    )
     energies = np.array(traj.energies)
     positions = np.array(traj.positions)
-    _write_metadata(
-        out / "kink_trajectory.json",
-        "kink-propagate",
-        config,
+    return _Result(
+        "kink_trajectory",
         {
             "termination": "completed",  # z is frozen and each step is exact, so runs always complete
             "max_advance": float(np.max(np.abs(positions - positions[0]))),
@@ -268,25 +212,22 @@ def cmd_kink_propagate(config: RunConfig, args: argparse.Namespace, stamps: list
             "orthonormality_error": traj.orthonormality_error,
             "anchor_hops": int(np.count_nonzero(np.diff(traj.anchors))),
         },
-        stamps,
+        ["t", "re_z", "im_z", "kink_position", "energy", "n_anchor"],
+        [traj.times, np.full(len(traj.times), config.z_re), np.full(len(traj.times), config.z_im),
+         traj.positions, traj.energies, traj.anchors],
     )
-    return EXIT_OK
 
 
-def cmd_validate(config: RunConfig, args: argparse.Namespace, stamps: list[float]) -> int:
+def cmd_validate(config: RunConfig) -> _Result:
     from .validate import run_validation  # scipy.integrate is needed by this command only
 
     report = run_validation(config.model_params())
-    out = _out_dir(args, stamps)
-    _write_metadata(out / "validation.json", "validate", config, {"report": report.as_dict()}, stamps)
-    for check in report.checks:
-        status = "pass" if check.passed else "FAIL"
-        print(f"{status} {check.name}: measured {check.measured:.3e} (threshold {check.threshold:.1e})")
-    for key, value in report.info.items():
-        print(f"info {key}: {value}")
-    if not report.passed:
-        return EXIT_VALIDATION
-    return EXIT_OK
+    # from the checks, not as_dict(), which writes a NaN measurement as null
+    lines = [f"{'pass' if check.passed else 'FAIL'} {check.name}: measured {check.measured:.3e} "
+             f"(threshold {check.threshold:.1e})" for check in report.checks]
+    lines += [f"info {key}: {value}" for key, value in report.info.items()]
+    return _Result("validation", {"report": report.as_dict()}, lines=lines,
+                   code=EXIT_OK if report.passed else EXIT_VALIDATION)
 
 
 _COMMANDS = {
@@ -335,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command, then write its files: the one place that makes `--out` and reads the clock.
+    The `timings_s` stages end after `load_config`, after the command, and after the CSV."""
     args = build_parser().parse_args(argv)
     stamps = [perf_counter()]
     try:
@@ -346,13 +289,34 @@ def main(argv: Sequence[str] | None = None) -> int:
             config_file = reference_config_path(args.reference)
         config = load_config(config_file, overrides)
         stamps.append(perf_counter())
-        return _COMMANDS[args.command](config, args, stamps)
+        result = _COMMANDS[args.command](config)
+        stamps.append(perf_counter())
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, or a path under one: exit 2, not a traceback
+            raise ConfigError(f"--out {args.out}: cannot make the output directory ({exc.strerror})") from exc
+        if result.header is not None:
+            _write_csv(out / f"{result.stem}.csv", result.header, result.columns)
+        stamps.append(perf_counter())
+        payload = {
+            "schema": f"peierls/{args.command}/{SCHEMA_VERSION}",
+            "version": __version__,
+            "config": config.as_dict(),
+            "timings_s": {stage: b - a for stage, a, b in zip(("config", "compute", "write"), stamps, stamps[1:])},
+            **result.extra,
+        }
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        (out / f"{result.stem}.json").write_bytes(text.encode("ascii"))
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:  # ConfigError, DomainError and library range checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    for line in result.lines:
+        print(line)
+    return result.code
 
 
 if __name__ == "__main__":

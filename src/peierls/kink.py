@@ -87,7 +87,8 @@ def kink_spectrum(params: ModelParams, config: KinkConfiguration) -> tuple[np.nd
     diagnostic marks eigenvalues inside the bulk dimerization gap
     (-2g|sinh loc|, 2g|sinh loc|) of the corresponding uniform chain.
     """
-    s = _bidiagonal(_offdiagonal(params, config), vectors=False)
+    d, e, n_filled = _bidiagonal(_offdiagonal(params, config))
+    s = _dqds(d, e)[:n_filled]
     evals = np.concatenate([-s, np.zeros(config.n_sites % 2), s[::-1]])
     loc = state_location(params, config.z)
     gap_edge = 2.0 * effective_coupling(params) * abs(math.sinh(loc))
@@ -105,26 +106,8 @@ def sublattice_svd(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     last column of the square W is the zero mode (w, 0).  The (w_k, -v_k) / sqrt 2
     are the filled sea.
     """
-    return _bidiagonal(off, vectors=True)
-
-
-def _bidiagonal(off: np.ndarray, vectors: bool) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular values s (descending) of the even-odd block C of the chain with off-diagonal
-    `off`, and with `vectors` the (W, s, V) of `sublattice_svd`.
-
-    C is made square and lower bidiagonal, diagonal off[0::2] and subdiagonal off[1::2];
-    odd N pads a zero column, whose zero singular value comes last and is dropped.
-    Values come from dqds (`model._dqds`), which keeps high relative accuracy down to the
-    exponentially small wall state; vectors from `dbdsdc`.
-    """
-    off = np.asarray(off, dtype=float)
-    if not np.isfinite(off).all():
-        raise ValueError("kink chain bonds must be finite")
-    n, n_filled = len(off) // 2 + 1, (len(off) + 1) // 2  # ceil(N/2) rows, floor(N/2) columns of C
-    d, e = np.zeros((2, n))
-    d[:n_filled], e[: n - 1] = off[0::2], off[1::2]
-    if not vectors:
-        return _dqds(d, e)[:n_filled]
+    d, e, n_filled = _bidiagonal(off)
+    n = len(d)
     size, info = np.array([n], dtype=np.intc), np.zeros(1, dtype=np.intc)
     # LAPACK writes column-major, so the C-order u receives U^T and the C-order v receives V;
     # q and iq (the 10th and 11th arguments) are not read with compq = 'I'
@@ -134,6 +117,20 @@ def _bidiagonal(off: np.ndarray, vectors: bool) -> np.ndarray | tuple[np.ndarray
     if info[0]:
         raise np.linalg.LinAlgError(f"bidiagonal SVD of the kink chain failed (LAPACK info {info[0]})")
     return u.T, d[:n_filled], v[:n_filled, :n_filled]
+
+
+def _bidiagonal(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(d, e, n_filled): the even-odd block C of the chain with off-diagonal `off` as a square
+    lower bidiagonal, diagonal d = off[0::2] and subdiagonal e = off[1::2], and its floor(N/2)
+    columns.  Odd N pads a zero column, whose zero singular value comes last.  dqds on (d, e)
+    keeps high relative accuracy down to the exponentially small wall state."""
+    off = np.asarray(off, dtype=float)
+    if not np.isfinite(off).all():
+        raise ValueError("kink chain bonds must be finite")
+    n, n_filled = len(off) // 2 + 1, (len(off) + 1) // 2  # ceil(N/2) rows, floor(N/2) columns of C
+    d, e = np.zeros((2, n))
+    d[:n_filled], e[: n - 1] = off[0::2], off[1::2]
+    return d, e, n_filled
 
 
 def bond_order(occupied: np.ndarray) -> np.ndarray:

@@ -596,6 +596,18 @@ def test_cli_dynamics_metadata_counts_rk4_steps_and_settle_residuals(tmp_path, s
     assert settled == (meta["termination"] == "settled")
 
 
+def test_cli_dynamics_non_finite_trajectory_exits_3(tmp_path, capsys):
+    # at zeta = kappa = 0 the run from x0 = 1e300 grows past the largest float within 40 steps:
+    # one numerical-error line, no traceback and no files
+    out = tmp_path / "out"
+    rc = main(["dynamics", "-o", str(out), "--set", "zeta=0", "--set", "kappa=0", "--set", "x0=1e300",
+               "--set", "dt=0.5", "--set", "steps=5000"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "numerical error: trajectory became non-finite\n"
+    assert not out.exists()
+
+
 def test_cli_kink_spectrum_overflowing_z_exits_2_without_a_warning(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -826,8 +838,9 @@ def test_cli_unusable_out_exits_2(tmp_path, capsys, command, under_a_file):
     blocker.write_text("kept\n")
     out = blocker / "sub" if under_a_file else blocker
     rc = main([command, *SMALL_OPTIONS, "-o", str(out)])
-    err = capsys.readouterr().err
+    printed, err = capsys.readouterr()
     assert rc == 2
+    assert printed == ""  # the files are written before anything is printed
     assert err.startswith(f"error: --out {out}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert blocker.read_text() == "kept\n"

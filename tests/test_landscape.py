@@ -1,6 +1,7 @@
 """Energy landscape: continuum density, gradients, grids, critical points."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -425,15 +426,23 @@ def numpy_critical_points(params, seeds, tol=1e-10, max_iter=200, max_step=None)
     return found, counts
 
 
+def newton_reach(z, gradient_norm, eigs):
+    """How far a Newton point z may sit from its root: |grad| / min |eig|.  |grad| is the computed
+    norm plus the rounding of the phonon term (16 Re z, 4 Im z), which the electronic term cancels
+    at the root, so a gradient that rounds to 0.0 can still be eps times that term."""
+    phonon = max(16 * abs(z[0]), 4 * abs(z[1]))
+    return (gradient_norm + sys.float_info.epsilon * phonon) / min(map(abs, eigs))
+
+
 def assert_matches_numpy_oracle(params, seeds, tol, max_step):
     points = find_critical_points(params, seeds, tol=tol, max_step=max_step)
     oracle, counts = numpy_critical_points(params, seeds, tol=tol, max_step=max_step)
     assert points.seeds == counts
     assert [c.kind for c in points] == [kind for *_, kind in oracle]
     for c, (location, gradient_norm, eigs, _) in zip(points, oracle):
-        # each location sits within |grad| / min |eig| of the root (Newton), so the two differ by
-        # at most the sum of those, plus a few ulps of the coordinates
-        bound = (c.gradient_norm + gradient_norm) / min(map(abs, eigs)) + 4 * math.ulp(max(map(abs, location)))
+        # the two locations differ by at most the sum of their reaches, plus a few ulps of the coordinates
+        bound = (newton_reach(c.location, c.gradient_norm, eigs) + newton_reach(location, gradient_norm, eigs)
+                 + 4 * math.ulp(max(map(abs, location))))
         assert math.dist(c.location, location) <= bound
         assert c.hessian_eigs == pytest.approx(eigs, rel=1e-12, abs=0)
         assert c.gradient_norm < tol and gradient_norm < tol
@@ -454,6 +463,7 @@ def test_newton_matches_numpy_oracle_on_references(reference, angles):
     w=st.floats(min_value=-2.0, max_value=0.0),
 )
 @example(zeta=1.5354912935352618, kappa=0.8250418749670223, q=1.53125, w=-0.21875)  # locations 1.05e-15 apart
+@example(zeta=1.485075671646169, kappa=0.7460097097661532, q=1.0, w=0.0)  # 3.88e-17 apart, gradients 0.0
 def test_newton_matches_numpy_oracle_across_parameters(zeta, kappa, q, w):
     cfg, p = double_well_params()
     params = ModelParams(t=p.t, zeta=zeta, kappa=kappa, big_l=p.big_l, q=q, w=w)
