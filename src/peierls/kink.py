@@ -10,7 +10,7 @@ bonds join even sites to odd ones only (chiral, or sublattice, symmetry),
 so every eigenpair is +-s from the SVD of the even-odd block, which is
 lower bidiagonal: LAPACK's dqds gives the spectrum to high relative
 accuracy, its bidiagonal divide and conquer gives the vectors, and
-propagation rotates the orbitals' coefficients in that basis.  This is
+propagation steps the even-odd coherence block in that basis.  This is
 the SSH chain (Su, Schrieffer & Heeger, PRL 42, 1698, 1979).  The
 printed three-site difference operator, with weights
 omega_l = g - (c + (-)^l s), is a cross-check that lives in `validate`.
@@ -174,7 +174,7 @@ def kink_position(order: np.ndarray, window: int = 4) -> float:
         left = envelope[max(0, j - 4) : j + 1]
         right = envelope[j + 1 : j + 6]
         return abs(float(np.mean(right)) - float(np.mean(left)))
-    best = max(crossings, key=contrast)
+    best = max(crossings, key=contrast) if crossings.size > 1 else crossings[0]
     frac = envelope[best] / (envelope[best] - envelope[best + 1])
     return float(best + frac + offset)
 
@@ -200,78 +200,97 @@ def propagate_kink(
 ) -> KinkTrajectory:
     """Exact evolution of the occupied orbitals under the kink chain anchored at n.
 
-    z stays at z0.  Per anchor, one `sublattice_svd` C = W diag(s) V^T
-    diagonalises the chain, and the orbitals are kept as the coefficients
-    (a, b) = (W^T phi_A, V^T phi_B) of their even and odd sites.  A step
-    rotates each pair, a <- cos(s dt) a - i sin(s dt) b and
-    b <- cos(s dt) b - i sin(s dt) a (the zero-mode row of a, odd N, stays),
-    and phi_A = W a, phi_B = V b are two real products over the float view.
-    n re-anchors when the bond-order wall crosses n +- (1 + hysteresis), and
-    the coefficients are projected onto the new anchor's factors.
+    z stays at z0.  Per anchor, one `sublattice_svd` C = W diag(s) V^T diagonalises the
+    chain, and the orbitals are the coefficients (a, b) = (W^T phi_A, V^T phi_B) of their
+    even and odd sites.  k steps on, a_k = c a - i sigma b and b_k = c b - i sigma a, with
+    c = cos(s k dt) and sigma = sin(s k dt) (c = 1, sigma = 0 on the zero-mode row of a,
+    odd N).  A free-fermion state is fixed by its coherence: the bond order's links are
+    the diagonal and subdiagonal of Re(phi_A phi_B^+) = W R V^T, and R = Re(a_k b_k^+) =
+    c X c - c I_a sigma + sigma I_b c + sigma X^T sigma comes elementwise from the
+    anchor's X = Re(a b^+), I_a = Im(a a^+) and I_b = Im(b b^+), so a step is one product
+    W R.  n re-anchors when the wall crosses n +- (1 + hysteresis), and (a_k, b_k) move
+    onto the new factors through W'^T W and V'^T V.  The orbitals are formed once, for
+    `orthonormality_error`.
 
-    The initial orbitals are the half-filled ground state (w_k, -v_k)/sqrt 2
-    of the chain anchored at n0 + initial_anchor_offset, which lets a
-    deliberately displaced wall evolve under the n0 chain.
+    The initial orbitals are the half-filled ground state (w_k, -v_k)/sqrt 2 of the chain
+    anchored at n0 + initial_anchor_offset, which lets a deliberately displaced wall
+    evolve under the n0 chain.  A z that makes every bond equal leaves no wall: ValueError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n = n0
-    n_filled = n_sites // 2  # = floor(N/2), the rows of V
-    # orbitals in site order: even rows phi_A, odd rows phi_B
-    occupied = np.zeros((n_sites, n_filled), dtype=complex)
-    flat = occupied.view(np.float64)
+    n, n_filled = n0, n_sites // 2  # floor(N/2), the rows of V
 
     def factors(n_anchor: int):
         off = _offdiagonal(params, KinkConfiguration(n=n_anchor, z=z0, n_sites=n_sites))
-        # E_el = 2 sum_j h[j, j+1] Re<f+_{j+1} f_j>, and that link is (-)^j B_j
-        return (*sublattice_svd(off), 2.0 * (-1.0) ** np.arange(n_sites - 1) * off)
+        return sublattice_svd(off), off
 
-    w, s, v, weights = factors(n)  # checks n0 as given, before the anchor offset is added
-    w0, _, v0, _ = factors(n + initial_anchor_offset) if initial_anchor_offset else (w, s, v, weights)
-    flat[0::2, 0::2] = w0[:, :n_filled] / math.sqrt(2.0)  # real parts
-    flat[1::2, 0::2] = -v0 / math.sqrt(2.0)
+    (w, s, v), off = factors(n)  # checks n0 as given, before the anchor offset is added
     if not math.isfinite(phonon := n_sites / 2 * phonon_density(z0.re, z0.im)):
         raise ValueError(f"phonon energy of z = ({z0.re}, {z0.im}) is not finite")
+    if (off == off[0]).all():
+        raise ValueError(f"z = ({z0.re}, {z0.im}) makes every bond of the kink chain equal, so it has no "
+                         "wall to propagate; set z_re and z_im to a dimerized amplitude")
+    w0, _, v0 = factors(n + initial_anchor_offset)[0] if initial_anchor_offset else (w, s, v)
 
     traj = KinkTrajectory(times=[], positions=[], energies=[], anchors=[])
+    link, sign = np.empty(n_sites - 1), (-1.0) ** np.arange(n_sites - 1)
 
-    def record(t: float) -> float:
-        order = bond_order(occupied)
+    def record(t: float, rows_a: np.ndarray, rows_b: np.ndarray) -> float:
+        """Record the state whose Re(phi_A phi_B^+) is rows_a rows_b^T."""
+        # link 2i = Re<f+_{2i+1} f_2i> joins A row i to B row i; link 2i+1 joins B row i to A row i+1
+        np.einsum("ij,ij->i", rows_a[:n_filled], rows_b, out=link[0::2])
+        np.einsum("ij,ij->i", rows_a[1:], rows_b[: len(rows_a) - 1], out=link[1::2])
         traj.times.append(t)
-        traj.positions.append(kink_position(order))
-        traj.energies.append(float(weights @ order) + phonon)
+        traj.positions.append(kink_position(sign * link))
+        traj.energies.append(float((2.0 * off) @ link) + phonon)  # E_el = 2 sum_j h[j, j+1] link_j
         return traj.positions[-1]
 
-    record(0.0)
+    # the launch state is real, and so are its coefficients on the n0 anchor
+    record(0.0, w0[:, :n_filled] / math.sqrt(2.0), -v0 / math.sqrt(2.0))
     traj.anchors.append(n)
-    t = 0.0
-    anchor = None
-    mix = np.empty((2, n_filled, n_filled), dtype=complex)
+    a, b = w.T @ w0[:, :n_filled] / math.sqrt(2.0), -(v.T @ v0) / math.sqrt(2.0)
+    cos_a = np.ones(n_a := len(a))  # the zero-mode row of an odd chain stands still
+    r, scratch = np.empty((2, n_a + n_filled, n_filled))  # R's terms with c and with sigma on the left
+
+    def rotated(k: int) -> tuple[np.ndarray, np.ndarray]:
+        cos_a[:n_filled], sin = np.cos(s * (k * dt)), np.sin(s * (k * dt))[:, None]
+        a_k = np.multiply(a, cos_a[:, None], dtype=complex)
+        a_k[:n_filled] -= 1j * sin * b
+        return a_k, cos_a[:n_filled, None] * b - 1j * sin * a[:n_filled]
+
+    t, k, anchor = 0.0, 0, None
     for _ in range(steps):
-        if anchor != n:  # first step, or the wall hopped: project onto this anchor
+        if anchor != n:  # first step, or the wall hopped: move (a_k, b_k) onto this anchor
             if anchor is not None:
-                w, s, v, weights = factors(n)
-            anchor = n
-            a = (w.T @ flat[0::2]).view(complex)
-            b = (v.T @ flat[1::2]).view(complex)
-            paired = a[:n_filled]  # the zero-mode row of an odd chain stands still
-            cos, rot = np.cos(s * dt)[:, None], -1j * np.sin(s * dt)[:, None]
-        # (a, b) <- (cos a + rot b, cos b + rot a), in place
-        np.multiply(rot, b, out=mix[0])
-        np.multiply(rot, paired, out=mix[1])
-        paired *= cos
-        paired += mix[0]
-        b *= cos
-        b += mix[1]
-        np.matmul(w, a.view(np.float64), out=flat[0::2])
-        np.matmul(v, b.view(np.float64), out=flat[1::2])
+                a, b = rotated(k)
+                w_old, v_old = w, v
+                (w, s, v), off = factors(n)
+                a = ((w.T @ w_old) @ a.view(np.float64)).view(complex)
+                b = ((v.T @ v_old) @ b.view(np.float64)).view(complex)
+            anchor, k = n, 0
+            im_a, im_b = ((m - m.T for m in (a.imag @ a.real.T, b.imag @ b.real.T)) if np.iscomplexobj(a)
+                          else (np.zeros((n_a, n_a)), np.zeros((n_filled, n_filled))))
+            x = a.view(np.float64) @ b.view(np.float64).T
+            # R = c (X c - I_a sigma) + sigma (I_b c + X^T sigma): the right factors, stacked
+            times_cos, times_sin = np.concatenate([x, im_b]), np.concatenate([-im_a[:, :n_filled], x[:n_filled].T])
+        k += 1
+        cos_a[:n_filled], sin = np.cos(s * (k * dt)), np.sin(s * (k * dt))
+        np.multiply(times_cos, cos_a[:n_filled], out=r)
+        r += np.multiply(times_sin, sin, out=scratch)
+        r[:n_a] *= cos_a[:, None]
+        r[n_a:] *= sin[:, None]
+        r[:n_filled] += r[n_a:]
         t += dt
-        position = record(t)
+        position = record(t, w @ r[:n_a], v)
         if position >= n + 1 + hysteresis and n < n_sites - 2:
             n += 1
         elif position <= n - hysteresis and n > 0:
             n -= 1
         traj.anchors.append(n)
-    gram = occupied.conj().T @ occupied
-    traj.orthonormality_error = float(np.linalg.norm(gram - np.eye(n_filled)))
+    a, b = rotated(k)
+    flat = np.empty((n_sites, 2 * n_filled))  # the orbitals' float view: even rows phi_A, odd rows phi_B
+    flat[0::2], flat[1::2] = w @ a.view(np.float64), v @ b.view(np.float64)
+    gram = flat.T @ flat  # one symmetric product; phi^+ phi is Re from its even-even and odd-odd parts, Im the rest
+    gram = gram[0::2, 0::2] + gram[1::2, 1::2] - np.eye(n_filled) + 1j * (gram[0::2, 1::2] - gram[1::2, 0::2])
+    traj.orthonormality_error = float(np.linalg.norm(gram))
     return traj

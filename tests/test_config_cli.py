@@ -626,6 +626,16 @@ def test_cli_kink_propagate_non_finite_phonon_energy_exits_2_without_a_warning(t
     assert "phonon energy of z = (1e+200, " in capsys.readouterr().err
 
 
+def test_cli_kink_propagate_without_a_wall_exits_2(tmp_path, capsys):
+    # double_well sets no z, so every bond of its kink chain is g: there is no wall to propagate,
+    # while the uniform chain's spectrum is still a valid result
+    rc = main(["kink-propagate", "--reference", "double_well", "-o", str(tmp_path / "propagate")])
+    assert rc == 2
+    assert "z = (0.0, 0.0) makes every bond of the kink chain equal" in capsys.readouterr().err
+    assert not (tmp_path / "propagate").exists()
+    assert main(["kink-spectrum", "--reference", "double_well", "-o", str(tmp_path / "spectrum")]) == 0
+
+
 @pytest.mark.parametrize("command", ["kink-spectrum", "kink-propagate"])
 def test_cli_kink_lapack_failure_exits_3(tmp_path, capsys, monkeypatch, command):
     # a nonzero LAPACK info (no convergence) is a LinAlgError, a numerical failure

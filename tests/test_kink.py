@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from peierls.config import ConfigError, load_config, reference_config_path
 from peierls.kink import (
     KinkConfiguration,
+    KinkTrajectory,
     _offdiagonal,
     bond_order,
     kink_position,
@@ -15,6 +17,7 @@ from peierls.kink import (
     propagate_kink,
     sublattice_svd,
 )
+from peierls.landscape import phonon_density
 from peierls.model import CoherentAmplitude, ModelParams, effective_coupling, staggered_bonds
 from peierls.validate import _difference_block, _zero_subspace
 
@@ -335,3 +338,98 @@ def test_shipped_initial_condition_advances():
     )
     positions = np.array(traj.positions)
     assert np.max(np.abs(positions - positions[0])) >= 1.0
+
+
+def orbital_stepping(params, z0, n0, dt, steps, n_sites=200, initial_anchor_offset=0, hysteresis=0.25):
+    """Reference propagation that steps the orbitals themselves: per anchor the coefficients
+    (a, b) = (W^T phi_A, V^T phi_B) rotate by one step's cos(s dt) and -i sin(s dt), and
+    phi_A = W a and phi_B = V b are formed at every step for `bond_order`.  4n^3 per step."""
+    n, n_filled = n0, n_sites // 2
+    occupied = np.zeros((n_sites, n_filled), dtype=complex)
+    flat = occupied.view(np.float64)
+
+    def factors(n_anchor):
+        off = _offdiagonal(params, KinkConfiguration(n=n_anchor, z=z0, n_sites=n_sites))
+        return (*sublattice_svd(off), 2.0 * (-1.0) ** np.arange(n_sites - 1) * off)
+
+    w, s, v, weights = factors(n)
+    w0, _, v0, _ = factors(n + initial_anchor_offset)
+    flat[0::2, 0::2] = w0[:, :n_filled] / math.sqrt(2.0)
+    flat[1::2, 0::2] = -v0 / math.sqrt(2.0)
+    phonon = n_sites / 2 * phonon_density(z0.re, z0.im)
+    traj = KinkTrajectory(times=[], positions=[], energies=[], anchors=[])
+
+    def record(t):
+        order = bond_order(occupied)
+        traj.times.append(t)
+        traj.positions.append(kink_position(order))
+        traj.energies.append(float(weights @ order) + phonon)
+        return traj.positions[-1]
+
+    record(0.0)
+    traj.anchors.append(n)
+    t, anchor = 0.0, None
+    for _ in range(steps):
+        if anchor != n:
+            if anchor is not None:
+                w, s, v, weights = factors(n)
+            anchor = n
+            a = (w.T @ flat[0::2]).view(complex)
+            b = (v.T @ flat[1::2]).view(complex)
+            cos, rot = np.cos(s * dt)[:, None], -1j * np.sin(s * dt)[:, None]
+        a[:n_filled], b = cos * a[:n_filled] + rot * b, cos * b + rot * a[:n_filled]  # the zero mode stands
+        np.matmul(w, a.view(np.float64), out=flat[0::2])
+        np.matmul(v, b.view(np.float64), out=flat[1::2])
+        t += dt
+        position = record(t)
+        if position >= n + 1 + hysteresis and n < n_sites - 2:
+            n += 1
+        elif position <= n - hysteresis and n > 0:
+            n -= 1
+        traj.anchors.append(n)
+    gram = occupied.conj().T @ occupied
+    traj.orthonormality_error = float(np.linalg.norm(gram - np.eye(n_filled)))
+    return traj
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_sites=st.integers(20, 80), data=st.data())
+def test_coherence_stepping_matches_orbital_stepping(n_sites, data):
+    # the wall starts, and is launched from, at least 6 sites from either end
+    n0 = data.draw(st.integers(6, n_sites - 8), label="n0")
+    offset = data.draw(st.integers(max(-4, 6 - n0), min(4, n_sites - 8 - n0)), label="offset")
+    hysteresis = data.draw(st.sampled_from([0.25, 1e9]), label="hysteresis")
+    steps = data.draw(st.integers(0, 60), label="steps")
+    args = (reference_params(), z_min(), n0, 0.5, steps)
+    kwargs = {"n_sites": n_sites, "initial_anchor_offset": offset, "hysteresis": hysteresis}
+    oracle = orbital_stepping(*args, **kwargs)
+    # rounding may decide a hop whose position sits on its threshold either way
+    for position, n in zip(oracle.positions[1:], oracle.anchors):
+        assume(min(abs(position - (n + 1 + hysteresis)), abs(position - (n - hysteresis))) > 1e-9)
+    traj = propagate_kink(*args, **kwargs)
+    assert traj.anchors == oracle.anchors
+    assert traj.times == oracle.times
+    assert np.max(np.abs(np.subtract(traj.positions, oracle.positions))) <= 1e-10
+    energies = np.array(oracle.energies)
+    assert np.max(np.abs(traj.energies - energies) / np.abs(energies)) <= 1e-12
+    assert traj.orthonormality_error <= 1e-10
+
+
+def test_each_step_conserves_the_energy_on_one_anchor():
+    # the state evolves under the chain whose energy it reports, so without a hop
+    # each step changes E only by rounding
+    cfg = reference_config()
+    traj = propagate_kink(cfg.model_params(), z_min(), cfg.kink_site, cfg.kink_dt, 400, n_sites=200,
+                          initial_anchor_offset=cfg.anchor_offset, hysteresis=1e9)
+    energies = np.array(traj.energies)
+    assert set(traj.anchors) == {cfg.kink_site}
+    assert np.max(np.abs(np.diff(energies)) / np.abs(energies[1:])) <= 1e-12
+
+
+@pytest.mark.parametrize("z", [CoherentAmplitude(0.0, 0.0), CoherentAmplitude(0.35e-2, -1.4e-2)])
+def test_propagation_without_a_wall_is_rejected(z):
+    # state location 0 makes every bond g: the chain has no wall, and its "position" would be rounding
+    p = reference_params()
+    assert np.ptp(_offdiagonal(p, KinkConfiguration(n=30, z=z, n_sites=60))) == 0.0
+    with pytest.raises(ValueError, match="no wall.*z_re and z_im"):
+        propagate_kink(p, z, 30, dt=0.5, steps=5, n_sites=60)
