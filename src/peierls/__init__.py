@@ -8,7 +8,6 @@ from .dynamics import PhaseState, Trajectory, drive_kernel, integrate
 from .kink import (
     KinkConfiguration,
     KinkTrajectory,
-    bond_order,
     kink_position,
     kink_spectrum,
     propagate_kink,

@@ -199,22 +199,23 @@ def cmd_kink_propagate(config: RunConfig) -> _Result:
         config.kink_steps,
         n_sites=config.n_sites,
         initial_anchor_offset=config.anchor_offset,
-        hysteresis=config.hysteresis,
     )
     energies = np.array(traj.energies)
     positions = np.array(traj.positions)
+    rows = len(traj.times)
     return _Result(
         "kink_trajectory",
         {
             "termination": "completed",  # z is frozen and each step is exact, so runs always complete
             "max_advance": float(np.max(np.abs(positions - positions[0]))),
             "relative_energy_drift": float(np.max(np.abs(energies - energies[0])) / abs(energies[0])),
+            "max_step_energy_change": float(np.max(np.abs(np.diff(energies)) / np.abs(energies[1:]))),
             "orthonormality_error": traj.orthonormality_error,
-            "anchor_hops": int(np.count_nonzero(np.diff(traj.anchors))),
         },
+        # z and the lattice wall are frozen: re_z, im_z and n_anchor are constant columns
         ["t", "re_z", "im_z", "kink_position", "energy", "n_anchor"],
-        [traj.times, np.full(len(traj.times), config.z_re), np.full(len(traj.times), config.z_im),
-         traj.positions, traj.energies, traj.anchors],
+        [traj.times, np.full(rows, config.z_re), np.full(rows, config.z_im), traj.positions, traj.energies,
+         np.full(rows, config.kink_site)],
     )
 
 

@@ -69,7 +69,6 @@ class RunConfig:
     kink_dt: float = 0.5
     kink_steps: int = 400
     anchor_offset: int = -4
-    hysteresis: float = 0.25
 
     def __post_init__(self) -> None:
         for name in ("resolution", "workers", "steps", "kink_steps", "seed_angles"):
@@ -82,8 +81,6 @@ class RunConfig:
         if not 0 <= self.kink_site + self.anchor_offset <= self.n_sites - 2:
             raise ConfigError(f"anchor_offset: initial anchor {self.kink_site} + {self.anchor_offset} "
                               f"outside [0, {self.n_sites - 2}]")
-        if not (math.isfinite(self.hysteresis) and self.hysteresis >= 0):
-            raise ConfigError(f"hysteresis must be finite and >= 0, got {self.hysteresis}")
         for name in ("dt", "kink_dt", "newton_tol", "max_step"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")

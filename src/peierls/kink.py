@@ -10,8 +10,9 @@ bonds join even sites to odd ones only (chiral, or sublattice, symmetry),
 so every eigenpair is +-s from the SVD of the even-odd block, which is
 lower bidiagonal: LAPACK's dqds gives the spectrum to high relative
 accuracy, its bidiagonal divide and conquer gives the vectors, and
-propagation steps the even-odd coherence block in that basis.  This is
-the SSH chain (Su, Schrieffer & Heeger, PRL 42, 1698, 1979).  The
+propagation steps the even-odd coherence block in that basis.  z is
+frozen, so the lattice wall is fixed, and a launched electronic wall
+relaxes onto it at conserved energy.  This is the SSH chain (Su, Schrieffer & Heeger, PRL 42, 1698, 1979).  The
 printed three-site difference operator, with weights
 omega_l = g - (c + (-)^l s), is a cross-check that lives in `validate`.
 """
@@ -38,7 +39,6 @@ __all__ = [
     "KinkConfiguration",
     "kink_spectrum",
     "sublattice_svd",
-    "bond_order",
     "kink_position",
     "propagate_kink",
     "KinkTrajectory",
@@ -133,20 +133,6 @@ def _bidiagonal(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return d, e, n_filled
 
 
-def bond_order(occupied: np.ndarray) -> np.ndarray:
-    """Staggered bond order B_j = (-)^j Re <f+_{j+1} f_j> from occupied orbitals.
-
-    `occupied` is an (n_sites, n_filled) matrix of orthonormal columns.  The
-    link sum Re sum_m conj(phi_{j,m}) phi_{j+1,m} is the superdiagonal of the
-    coherence matrix, read without forming it.
-    """
-    flat = np.ascontiguousarray(occupied)
-    if np.iscomplexobj(flat):  # Re conj(x) y sums the products of the float parts
-        flat = flat.view(np.float64)
-    link = np.einsum("jm,jm->j", flat[:-1], flat[1:])
-    return (-1.0) ** np.arange(len(link)) * link
-
-
 def kink_position(order: np.ndarray, window: int = 4) -> float:
     """Interpolated location of the dimerization-envelope sign change.
 
@@ -184,7 +170,6 @@ class KinkTrajectory:
     times: list[float]
     positions: list[float]
     energies: list[float]
-    anchors: list[int]
     orthonormality_error: float = 0.0
 
 
@@ -196,46 +181,44 @@ def propagate_kink(
     steps: int,
     n_sites: int = 200,
     initial_anchor_offset: int = 0,
-    hysteresis: float = 0.25,
 ) -> KinkTrajectory:
-    """Exact evolution of the occupied orbitals under the kink chain anchored at n.
+    """Exact evolution of the occupied orbitals under the kink chain with its wall at n0.
 
-    z stays at z0.  Per anchor, one `sublattice_svd` C = W diag(s) V^T diagonalises the
-    chain, and the orbitals are the coefficients (a, b) = (W^T phi_A, V^T phi_B) of their
-    even and odd sites.  k steps on, a_k = c a - i sigma b and b_k = c b - i sigma a, with
-    c = cos(s k dt) and sigma = sin(s k dt) (c = 1, sigma = 0 on the zero-mode row of a,
-    odd N).  A free-fermion state is fixed by its coherence: the bond order's links are
-    the diagonal and subdiagonal of Re(phi_A phi_B^+) = W R V^T, and R = Re(a_k b_k^+) =
-    c X c - c I_a sigma + sigma I_b c + sigma X^T sigma comes elementwise from the
-    anchor's X = Re(a b^+), I_a = Im(a a^+) and I_b = Im(b b^+), so a step is one product
-    W R.  n re-anchors when the wall crosses n +- (1 + hysteresis), and (a_k, b_k) move
-    onto the new factors through W'^T W and V'^T V.  The orbitals are formed once, for
-    `orthonormality_error`.
+    z stays at z0, so the lattice wall stays at n0: one `sublattice_svd` C = W diag(s) V^T
+    diagonalises the chain for the whole run, and the orbitals are the coefficients
+    (a, b) = (W^T phi_A, V^T phi_B) of their even and odd sites.  k steps on,
+    a_k = c a - i sigma b and b_k = c b - i sigma a, with c = cos(s k dt) and
+    sigma = sin(s k dt) (c = 1, sigma = 0 on the zero-mode row of a, odd N).  A free-fermion
+    state is fixed by its coherence: the bond order's links are the diagonal and subdiagonal
+    of Re(phi_A phi_B^+) = W R V^T.  The launch state is real, so R = Re(a_k b_k^+) =
+    c X c + sigma X^T sigma comes elementwise from X = a b^T, and a step is one product W R.
+    The orbitals are formed once, at the end, for `orthonormality_error`.
 
     The initial orbitals are the half-filled ground state (w_k, -v_k)/sqrt 2 of the chain
-    anchored at n0 + initial_anchor_offset, which lets a deliberately displaced wall
-    evolve under the n0 chain.  A z that makes every bond equal leaves no wall: ValueError.
+    with its wall at n0 + initial_anchor_offset, which lets a deliberately displaced
+    electronic wall relax under the n0 chain.  A z that makes every bond equal leaves no
+    wall: ValueError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n, n_filled = n0, n_sites // 2  # floor(N/2), the rows of V
+    n_filled = n_sites // 2  # floor(N/2), the rows of V
 
-    def factors(n_anchor: int):
-        off = _offdiagonal(params, KinkConfiguration(n=n_anchor, z=z0, n_sites=n_sites))
+    def factors(n_wall: int):
+        off = _offdiagonal(params, KinkConfiguration(n=n_wall, z=z0, n_sites=n_sites))
         return sublattice_svd(off), off
 
-    (w, s, v), off = factors(n)  # checks n0 as given, before the anchor offset is added
+    (w, s, v), off = factors(n0)  # checks n0 as given, before the anchor offset is added
     if not math.isfinite(phonon := n_sites / 2 * phonon_density(z0.re, z0.im)):
         raise ValueError(f"phonon energy of z = ({z0.re}, {z0.im}) is not finite")
     if (off == off[0]).all():
         raise ValueError(f"z = ({z0.re}, {z0.im}) makes every bond of the kink chain equal, so it has no "
                          "wall to propagate; set z_re and z_im to a dimerized amplitude")
-    w0, _, v0 = factors(n + initial_anchor_offset)[0] if initial_anchor_offset else (w, s, v)
+    w0, _, v0 = factors(n0 + initial_anchor_offset)[0] if initial_anchor_offset else (w, s, v)
 
-    traj = KinkTrajectory(times=[], positions=[], energies=[], anchors=[])
+    traj = KinkTrajectory(times=[], positions=[], energies=[])
     link, sign = np.empty(n_sites - 1), (-1.0) ** np.arange(n_sites - 1)
 
-    def record(t: float, rows_a: np.ndarray, rows_b: np.ndarray) -> float:
+    def record(t: float, rows_a: np.ndarray, rows_b: np.ndarray) -> None:
         """Record the state whose Re(phi_A phi_B^+) is rows_a rows_b^T."""
         # link 2i = Re<f+_{2i+1} f_2i> joins A row i to B row i; link 2i+1 joins B row i to A row i+1
         np.einsum("ij,ij->i", rows_a[:n_filled], rows_b, out=link[0::2])
@@ -243,53 +226,29 @@ def propagate_kink(
         traj.times.append(t)
         traj.positions.append(kink_position(sign * link))
         traj.energies.append(float((2.0 * off) @ link) + phonon)  # E_el = 2 sum_j h[j, j+1] link_j
-        return traj.positions[-1]
 
-    # the launch state is real, and so are its coefficients on the n0 anchor
     record(0.0, w0[:, :n_filled] / math.sqrt(2.0), -v0 / math.sqrt(2.0))
-    traj.anchors.append(n)
     a, b = w.T @ w0[:, :n_filled] / math.sqrt(2.0), -(v.T @ v0) / math.sqrt(2.0)
-    cos_a = np.ones(n_a := len(a))  # the zero-mode row of an odd chain stands still
-    r, scratch = np.empty((2, n_a + n_filled, n_filled))  # R's terms with c and with sigma on the left
-
-    def rotated(k: int) -> tuple[np.ndarray, np.ndarray]:
-        cos_a[:n_filled], sin = np.cos(s * (k * dt)), np.sin(s * (k * dt))[:, None]
-        a_k = np.multiply(a, cos_a[:, None], dtype=complex)
-        a_k[:n_filled] -= 1j * sin * b
-        return a_k, cos_a[:n_filled, None] * b - 1j * sin * a[:n_filled]
-
-    t, k, anchor = 0.0, 0, None
-    for _ in range(steps):
-        if anchor != n:  # first step, or the wall hopped: move (a_k, b_k) onto this anchor
-            if anchor is not None:
-                a, b = rotated(k)
-                w_old, v_old = w, v
-                (w, s, v), off = factors(n)
-                a = ((w.T @ w_old) @ a.view(np.float64)).view(complex)
-                b = ((v.T @ v_old) @ b.view(np.float64)).view(complex)
-            anchor, k = n, 0
-            im_a, im_b = ((m - m.T for m in (a.imag @ a.real.T, b.imag @ b.real.T)) if np.iscomplexobj(a)
-                          else (np.zeros((n_a, n_a)), np.zeros((n_filled, n_filled))))
-            x = a.view(np.float64) @ b.view(np.float64).T
-            # R = c (X c - I_a sigma) + sigma (I_b c + X^T sigma): the right factors, stacked
-            times_cos, times_sin = np.concatenate([x, im_b]), np.concatenate([-im_a[:, :n_filled], x[:n_filled].T])
-        k += 1
-        cos_a[:n_filled], sin = np.cos(s * (k * dt)), np.sin(s * (k * dt))
-        np.multiply(times_cos, cos_a[:n_filled], out=r)
-        r += np.multiply(times_sin, sin, out=scratch)
-        r[:n_a] *= cos_a[:, None]
-        r[n_a:] *= sin[:, None]
-        r[:n_filled] += r[n_a:]
+    n_a = len(a)
+    phase = np.zeros((2, n_a))  # (c, sigma) per row of a; the zero-mode row of an odd chain stands still
+    phase[0] = 1.0
+    block = np.zeros((2, n_a, n_filled))  # X, and X^T on the rotating rows: R = c block[0] c + sigma block[1] sigma
+    np.matmul(a, b.T, out=block[0])
+    block[1, :n_filled] = block[0, :n_filled].T
+    r, t = np.empty_like(block), 0.0
+    for k in range(1, steps + 1):
+        phase[0, :n_filled], phase[1, :n_filled] = np.cos(s * (k * dt)), np.sin(s * (k * dt))
+        np.multiply(block, phase[:, None, :n_filled], out=r)
+        r *= phase[:, :, None]
+        r[0] += r[1]
         t += dt
-        position = record(t, w @ r[:n_a], v)
-        if position >= n + 1 + hysteresis and n < n_sites - 2:
-            n += 1
-        elif position <= n - hysteresis and n > 0:
-            n -= 1
-        traj.anchors.append(n)
-    a, b = rotated(k)
+        record(t, w @ r[0], v)
+    cos, sin = phase[:, :n_filled, None]
+    a_k, b_k = np.zeros((n_a, n_filled, 2)), np.empty((n_filled, n_filled, 2))  # (Re, Im) pairs
+    a_k[..., 0], a_k[:n_filled, :, 1] = phase[0, :, None] * a, -sin * b
+    b_k[..., 0], b_k[..., 1] = cos * b, -sin * a[:n_filled]
     flat = np.empty((n_sites, 2 * n_filled))  # the orbitals' float view: even rows phi_A, odd rows phi_B
-    flat[0::2], flat[1::2] = w @ a.view(np.float64), v @ b.view(np.float64)
+    flat[0::2], flat[1::2] = w @ a_k.reshape(n_a, -1), v @ b_k.reshape(n_filled, -1)
     gram = flat.T @ flat  # one symmetric product; phi^+ phi is Re from its even-even and odd-odd parts, Im the rest
     gram = gram[0::2, 0::2] + gram[1::2, 1::2] - np.eye(n_filled) + 1j * (gram[0::2, 1::2] - gram[1::2, 0::2])
     traj.orthonormality_error = float(np.linalg.norm(gram))

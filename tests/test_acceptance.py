@@ -304,7 +304,6 @@ def test_criterion_8_kink():
         cfg.kink_steps,
         n_sites=cfg.n_sites,
         initial_anchor_offset=cfg.anchor_offset,
-        hysteresis=cfg.hysteresis,
     )
     positions = np.array(traj.positions)
     energies = np.array(traj.energies)

@@ -4,14 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from peierls.config import ConfigError, load_config, reference_config_path
 from peierls.kink import (
     KinkConfiguration,
     KinkTrajectory,
     _offdiagonal,
-    bond_order,
     kink_position,
     kink_spectrum,
     propagate_kink,
@@ -33,6 +32,21 @@ def reference_params():
 def z_min():
     cfg = reference_config()
     return CoherentAmplitude(cfg.z_re, cfg.z_im)
+
+
+def bond_order(occupied):
+    """Staggered bond order B_j = (-)^j Re <f+_{j+1} f_j> from occupied orbitals.
+
+    `occupied` is an (n_sites, n_filled) matrix of orthonormal columns.  The link sum
+    Re sum_m conj(phi_{j,m}) phi_{j+1,m} is the superdiagonal of the coherence matrix,
+    read without forming it.  `propagate_kink` reads the same links from its coherence
+    block; this helper reads them from orbitals, for the checks and the oracle below.
+    """
+    flat = np.ascontiguousarray(occupied)
+    if np.iscomplexobj(flat):  # Re conj(x) y sums the products of the float parts
+        flat = flat.view(np.float64)
+    link = np.einsum("jm,jm->j", flat[:-1], flat[1:])
+    return (-1.0) ** np.arange(len(link)) * link
 
 
 def kink_matrix(p, cfg):
@@ -274,12 +288,8 @@ def test_propagation_mirror_symmetry():
     p = reference_params()
     n_sites = 61
     n0 = 30  # center of an odd chain: reflection maps the wall onto itself
-    # large hysteresis disables re-anchoring, whose thresholds are not
-    # themselves mirror-symmetric about the wall bond
-    a = propagate_kink(p, z_min(), n0, dt=0.5, steps=30, n_sites=n_sites,
-                       initial_anchor_offset=-2, hysteresis=1e6)
-    b = propagate_kink(p, z_min(), n0 - 1, dt=0.5, steps=30, n_sites=n_sites,
-                       initial_anchor_offset=2, hysteresis=1e6)
+    a = propagate_kink(p, z_min(), n0, dt=0.5, steps=30, n_sites=n_sites, initial_anchor_offset=-2)
+    b = propagate_kink(p, z_min(), n0 - 1, dt=0.5, steps=30, n_sites=n_sites, initial_anchor_offset=2)
     bonds = n_sites - 1
     for pa, pb in zip(a.positions, b.positions):
         assert pa == pytest.approx((bonds - 1) - pb, abs=1e-6)
@@ -297,18 +307,20 @@ def test_initial_energy_is_filled_sea_plus_phonon():
     assert traj.energies[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_offset_zero_reuses_the_anchor_decomposition(monkeypatch):
-    # with no anchor offset the initial orbitals are the anchored chain's own
-    # ground state, so one SVD serves both until the wall hops
+@pytest.mark.parametrize("offset, steps, svds", [(0, 10, 1), (-4, 400, 2)], ids=["offset0", "offset-4"])
+def test_offset_zero_reuses_the_anchor_decomposition(monkeypatch, offset, steps, svds):
+    # the lattice wall never moves, so a run decomposes its chain once; with no anchor
+    # offset the initial orbitals are that chain's own ground state, and a launch from
+    # a displaced wall adds only the launch chain's decomposition
     import peierls.kink
 
     calls = []
     solve = peierls.kink.sublattice_svd
     monkeypatch.setattr(peierls.kink, "sublattice_svd", lambda *a, **k: calls.append(1) or solve(*a, **k))
-    traj = propagate_kink(reference_params(), z_min(), 30, dt=0.5, steps=10, n_sites=60,
-                          initial_anchor_offset=0)
-    assert set(traj.anchors) == {30}
-    assert len(calls) == 1
+    traj = propagate_kink(reference_params(), z_min(), 30, dt=0.5, steps=steps, n_sites=60,
+                          initial_anchor_offset=offset)
+    assert len(traj.times) == steps + 1
+    assert len(calls) == svds
 
 
 def test_z_motion_is_not_a_config_field():
@@ -334,59 +346,48 @@ def test_shipped_initial_condition_advances():
         100,  # shortened run: the full shipped length is exercised in acceptance
         n_sites=cfg.n_sites,
         initial_anchor_offset=cfg.anchor_offset,
-        hysteresis=cfg.hysteresis,
     )
     positions = np.array(traj.positions)
     assert np.max(np.abs(positions - positions[0])) >= 1.0
 
 
-def orbital_stepping(params, z0, n0, dt, steps, n_sites=200, initial_anchor_offset=0, hysteresis=0.25):
-    """Reference propagation that steps the orbitals themselves: per anchor the coefficients
-    (a, b) = (W^T phi_A, V^T phi_B) rotate by one step's cos(s dt) and -i sin(s dt), and
-    phi_A = W a and phi_B = V b are formed at every step for `bond_order`.  4n^3 per step."""
-    n, n_filled = n0, n_sites // 2
-    occupied = np.zeros((n_sites, n_filled), dtype=complex)
-    flat = occupied.view(np.float64)
+def orbital_stepping(params, z0, n0, dt, steps, n_sites=200, initial_anchor_offset=0):
+    """Reference propagation that steps the orbitals themselves: the coefficients
+    (a, b) = (W^T phi_A, V^T phi_B) on the n0 chain rotate by one step's cos(s dt) and
+    -i sin(s dt), and phi_A = W a and phi_B = V b are formed at every step for
+    `bond_order`.  4n^3 per step."""
+    n_filled = n_sites // 2
 
-    def factors(n_anchor):
-        off = _offdiagonal(params, KinkConfiguration(n=n_anchor, z=z0, n_sites=n_sites))
+    def factors(n_wall):
+        off = _offdiagonal(params, KinkConfiguration(n=n_wall, z=z0, n_sites=n_sites))
         return (*sublattice_svd(off), 2.0 * (-1.0) ** np.arange(n_sites - 1) * off)
 
-    w, s, v, weights = factors(n)
-    w0, _, v0, _ = factors(n + initial_anchor_offset)
+    w, s, v, weights = factors(n0)
+    w0, _, v0, _ = factors(n0 + initial_anchor_offset)
+    occupied = np.zeros((n_sites, n_filled), dtype=complex)
+    flat = occupied.view(np.float64)
     flat[0::2, 0::2] = w0[:, :n_filled] / math.sqrt(2.0)
     flat[1::2, 0::2] = -v0 / math.sqrt(2.0)
     phonon = n_sites / 2 * phonon_density(z0.re, z0.im)
-    traj = KinkTrajectory(times=[], positions=[], energies=[], anchors=[])
+    traj = KinkTrajectory(times=[], positions=[], energies=[])
 
     def record(t):
         order = bond_order(occupied)
         traj.times.append(t)
         traj.positions.append(kink_position(order))
         traj.energies.append(float(weights @ order) + phonon)
-        return traj.positions[-1]
 
     record(0.0)
-    traj.anchors.append(n)
-    t, anchor = 0.0, None
+    a = (w.T @ flat[0::2]).view(complex)
+    b = (v.T @ flat[1::2]).view(complex)
+    cos, rot = np.cos(s * dt)[:, None], -1j * np.sin(s * dt)[:, None]
+    t = 0.0
     for _ in range(steps):
-        if anchor != n:
-            if anchor is not None:
-                w, s, v, weights = factors(n)
-            anchor = n
-            a = (w.T @ flat[0::2]).view(complex)
-            b = (v.T @ flat[1::2]).view(complex)
-            cos, rot = np.cos(s * dt)[:, None], -1j * np.sin(s * dt)[:, None]
         a[:n_filled], b = cos * a[:n_filled] + rot * b, cos * b + rot * a[:n_filled]  # the zero mode stands
         np.matmul(w, a.view(np.float64), out=flat[0::2])
         np.matmul(v, b.view(np.float64), out=flat[1::2])
         t += dt
-        position = record(t)
-        if position >= n + 1 + hysteresis and n < n_sites - 2:
-            n += 1
-        elif position <= n - hysteresis and n > 0:
-            n -= 1
-        traj.anchors.append(n)
+        record(t)
     gram = occupied.conj().T @ occupied
     traj.orthonormality_error = float(np.linalg.norm(gram - np.eye(n_filled)))
     return traj
@@ -398,16 +399,11 @@ def test_coherence_stepping_matches_orbital_stepping(n_sites, data):
     # the wall starts, and is launched from, at least 6 sites from either end
     n0 = data.draw(st.integers(6, n_sites - 8), label="n0")
     offset = data.draw(st.integers(max(-4, 6 - n0), min(4, n_sites - 8 - n0)), label="offset")
-    hysteresis = data.draw(st.sampled_from([0.25, 1e9]), label="hysteresis")
     steps = data.draw(st.integers(0, 60), label="steps")
     args = (reference_params(), z_min(), n0, 0.5, steps)
-    kwargs = {"n_sites": n_sites, "initial_anchor_offset": offset, "hysteresis": hysteresis}
+    kwargs = {"n_sites": n_sites, "initial_anchor_offset": offset}
     oracle = orbital_stepping(*args, **kwargs)
-    # rounding may decide a hop whose position sits on its threshold either way
-    for position, n in zip(oracle.positions[1:], oracle.anchors):
-        assume(min(abs(position - (n + 1 + hysteresis)), abs(position - (n - hysteresis))) > 1e-9)
     traj = propagate_kink(*args, **kwargs)
-    assert traj.anchors == oracle.anchors
     assert traj.times == oracle.times
     assert np.max(np.abs(np.subtract(traj.positions, oracle.positions))) <= 1e-10
     energies = np.array(oracle.energies)
@@ -416,13 +412,12 @@ def test_coherence_stepping_matches_orbital_stepping(n_sites, data):
 
 
 def test_each_step_conserves_the_energy_on_one_anchor():
-    # the state evolves under the chain whose energy it reports, so without a hop
-    # each step changes E only by rounding
+    # the state evolves under the fixed chain whose energy it reports, so each step
+    # changes E only by rounding
     cfg = reference_config()
-    traj = propagate_kink(cfg.model_params(), z_min(), cfg.kink_site, cfg.kink_dt, 400, n_sites=200,
-                          initial_anchor_offset=cfg.anchor_offset, hysteresis=1e9)
+    traj = propagate_kink(cfg.model_params(), z_min(), cfg.kink_site, cfg.kink_dt, cfg.kink_steps,
+                          n_sites=cfg.n_sites, initial_anchor_offset=cfg.anchor_offset)
     energies = np.array(traj.energies)
-    assert set(traj.anchors) == {cfg.kink_site}
     assert np.max(np.abs(np.diff(energies)) / np.abs(energies[1:])) <= 1e-12
 
 
