@@ -220,7 +220,7 @@ def cmd_kink_propagate(config: RunConfig) -> _Result:
 
 
 def cmd_validate(config: RunConfig) -> _Result:
-    from .validate import run_validation  # scipy.integrate is needed by this command only
+    from .validate import run_validation  # only this command runs the oracle suite, which imports scipy.special
 
     report = run_validation(config.model_params())
     # from the checks, not as_dict(), which writes a NaN measurement as null

@@ -243,6 +243,7 @@ def propagate_kink(
         r[0] += r[1]
         t += dt
         record(t, w @ r[0], v)
+    del block, r, w0, v0  # the end-of-run orbitals need only (a, b), the phases and (W, V)
     cos, sin = phase[:, :n_filled, None]
     a_k, b_k = np.zeros((n_a, n_filled, 2)), np.empty((n_filled, n_filled, 2))  # (Re, Im) pairs
     a_k[..., 0], a_k[:n_filled, :, 1] = phase[0, :, None] * a, -sin * b
@@ -250,6 +251,7 @@ def propagate_kink(
     flat = np.empty((n_sites, 2 * n_filled))  # the orbitals' float view: even rows phi_A, odd rows phi_B
     flat[0::2], flat[1::2] = w @ a_k.reshape(n_a, -1), v @ b_k.reshape(n_filled, -1)
     gram = flat.T @ flat  # one symmetric product; phi^+ phi is Re from its even-even and odd-odd parts, Im the rest
-    gram = gram[0::2, 0::2] + gram[1::2, 1::2] - np.eye(n_filled) + 1j * (gram[0::2, 1::2] - gram[1::2, 0::2])
-    traj.orthonormality_error = float(np.linalg.norm(gram))
+    del flat
+    re, im = gram[0::2, 0::2] + gram[1::2, 1::2] - np.eye(n_filled), gram[0::2, 1::2] - gram[1::2, 0::2]
+    traj.orthonormality_error = math.hypot(np.linalg.norm(re), np.linalg.norm(im))
     return traj

@@ -51,7 +51,9 @@ def amplitude(loc):
 
 
 def test_criterion_1_special_functions():
-    """Elliptic integrals vs adaptive quadrature and the Legendre relation."""
+    """Elliptic integrals vs adaptive quadrature and the Legendre relation.
+
+    QUADPACK here and the periodic trapezoid rule in `peierls.validate` are two independent oracles."""
     start = time.perf_counter()
     worst = 0.0
     for m in np.arange(-1.0, 0.9901, 0.25).tolist() + [0.99]:

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -188,14 +189,17 @@ def test_load_config_range_checks(setting, message):
         load_config(reference_config_path("kink_dynamics"), overrides=setting)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only `validate` needs quad, so the other commands do not pay its import
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # no command needs scipy.integrate: validate's E and K oracle is a numpy trapezoid rule
     src = str(Path(peierls.__file__).parents[1])
-    code = "import sys, peierls.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, peierls.cli; print('scipy.integrate' in sys.modules); "
+            "print(peierls.cli.main(sys.argv[1:]), 'scipy.integrate' in sys.modules)")
+    argv = ["validate", "--reference", "double_well", "-o", str(tmp_path)]
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[-1].split() == ["0", "False"]
 
 
 COLD_RUN = """\
@@ -250,7 +254,7 @@ print(json.dumps([code, [m for m in ("scipy.special", "scipy.linalg", "scipy.int
 
 def test_cli_commands_load_only_the_scipy_paths_they_evaluate(tmp_path):
     # E and K (scipy.special) only where the continuum density or the slope kernel is evaluated,
-    # LAPACK (scipy.linalg) only where a ring or kink spectrum is solved, quad only in validate
+    # LAPACK (scipy.linalg) only where a ring or kink spectrum is solved, scipy.integrate nowhere
     def import_map(*argv):
         """[exit code, loaded scipy subpackages] after the import, a config load and `argv`,
         in a fresh interpreter."""
@@ -260,11 +264,11 @@ def test_cli_commands_load_only_the_scipy_paths_they_evaluate(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
-    special, linalg, integrate = "scipy.special", "scipy.linalg", "scipy.integrate"
+    special, linalg = "scipy.special", "scipy.linalg"
     expected = {
         "landscape": [special], "critical-points": [special], "dynamics": [special],
         "spectrum": [linalg], "kink-spectrum": [linalg], "kink-propagate": [linalg],
-        "validate": [special, linalg, integrate],
+        "validate": [special, linalg],
     }
     assert set(expected) == set(COMMANDS)
     assert import_map() == [None, []]
@@ -733,6 +737,30 @@ def test_cli_validate_km1_agm_fault_injection(tmp_path, monkeypatch):
     assert main(["validate", "--reference", "double_well", "-o", str(tmp_path)]) == 1
     report = json.loads((tmp_path / "validation.json").read_text())["report"]
     assert [c["name"] for c in report["checks"] if not c["passed"]] == ["elliptic-km1-agm"]
+
+
+# the m lists of validate's elliptic-e-quadrature and elliptic-k-quadrature checks
+QUADRATURE_MS = {0.5: np.arange(-1.0, 0.991, 0.25).tolist() + [0.99],
+                 -0.5: np.arange(-1.0, 0.951, 0.25).tolist() + [0.95]}
+
+
+def test_validate_trapezoid_matches_mpmath():
+    # the E and K oracle is within 1e-15 of 40-digit values, so it is no weaker than QUADPACK (1.2e-14 on K)
+    exact = {0.5: mpmath.ellipe, -0.5: mpmath.ellipk}
+    with mpmath.workdps(40):
+        for power, ms in QUADRATURE_MS.items():
+            for m in ms:
+                assert abs(peierls.validate._trapezoid(m, power) - float(exact[power](m))) <= 1e-15, (power, m)
+
+
+@pytest.mark.parametrize("name, check", [("ellipe", "elliptic-e-quadrature"), ("ellipk", "elliptic-k-quadrature")])
+def test_validate_quadrature_fault_injection(monkeypatch, name, check):
+    # E or K off by 1e-9 relative must fail its quadrature check
+    exact = getattr(peierls.validate, name)
+    monkeypatch.setattr(peierls.validate, name, lambda m: (1.0 + 1e-9) * exact(m))
+    report = peierls.validate.ValidationReport()
+    peierls.validate._check_special(report)
+    assert not next(c for c in report.checks if c.name == check).passed
 
 
 def test_cli_rerun_from_metadata(tmp_path):
