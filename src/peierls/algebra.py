@@ -29,8 +29,7 @@ __all__ = [
     "mode_eigenvalues",
 ]
 
-# spin-1/2 generators of the undeformed algebra
-_K3 = np.diag([0.5, -0.5])
+# spin-1/2 raising and lowering generators of the undeformed algebra
 _KP = np.array([[0.0, 1.0], [0.0, 0.0]])
 _KM = _KP.T
 

@@ -15,9 +15,9 @@ seconds spent on config, compute and write go only into the JSON, as
 Datasets are formatted column by column: each distinct float of a column
 is formatted once (shortest round-trip repr).  Rows are then streamed to
 the file in blocks, so the writer holds the distinct texts, the index
-arrays and one block, never the whole file.  ``--workers`` is accepted
-(and must be >= 1) but has no effect: landscape grids are evaluated as
-arrays in one process.  The import loads numpy and no scipy: landscape,
+arrays and one block, never the whole file.  ``--workers`` must be >= 1
+and is read by nothing, not even the config: grids are numpy arrays in
+one process.  The import loads numpy and no scipy: landscape,
 critical-points and dynamics load ``scipy.special`` (E and K), spectrum and
 the kink commands ``scipy.linalg`` (LAPACK), each at its first use.
 
@@ -122,7 +122,7 @@ def cmd_critical_points(config: RunConfig) -> _Result:
         tol=config.newton_tol,
         max_step=config.max_step,
     )
-    counts = {kind: sum(p.kind == kind for p in points) for kind in ("minimum", "saddle", "maximum", "marginal")}
+    counts = {kind: sum(p.kind == kind for p in points) for kind in ("minimum", "saddle", "marginal")}
     return _Result(
         "critical_points",
         {"counts": counts, "seeds": points.seeds, "newton_evaluations": points.evaluations,
@@ -175,13 +175,8 @@ def cmd_dynamics(config: RunConfig) -> _Result:
 
 
 def cmd_kink_spectrum(config: RunConfig) -> _Result:
-    params = config.model_params()
-    kcfg = KinkConfiguration(
-        n=config.kink_site,
-        z=CoherentAmplitude(config.z_re, config.z_im),
-        n_sites=config.n_sites,
-    )
-    evals, lowest, in_gap = kink_spectrum(params, kcfg)
+    kcfg = KinkConfiguration(n=config.kink_site, z=CoherentAmplitude(config.z_re, config.z_im), n_sites=config.n_sites)
+    evals, lowest, in_gap = kink_spectrum(config.model_params(), kcfg)
     return _Result(
         "kink_spectrum",
         {"lowest": lowest, "in_gap_count": int(in_gap.sum())},
@@ -283,8 +278,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     stamps = [perf_counter()]
     try:
         overrides = _parse_overrides(args.set)
-        if args.workers is not None:
-            overrides["workers"] = args.workers
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         config_file = args.config
         if config_file is None and args.reference is not None:
             config_file = reference_config_path(args.reference)

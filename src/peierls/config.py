@@ -51,7 +51,6 @@ class RunConfig:
     im_min: float = -0.3
     im_max: float = 0.3
     resolution: int = 41
-    workers: int = 1  # accepted and range-checked; grids are evaluated in one process
     # critical-point search
     seed_rings: tuple[float, ...] = (0.05, 0.12)
     seed_angles: int = 8
@@ -71,7 +70,7 @@ class RunConfig:
     anchor_offset: int = -4
 
     def __post_init__(self) -> None:
-        for name in ("resolution", "workers", "steps", "kink_steps", "seed_angles"):
+        for name in ("resolution", "steps", "kink_steps", "seed_angles"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_sites < 3:
@@ -126,7 +125,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _PARSERS = {
     "float": float,
     "int": int,
-    "str": str,
     "tuple[float, ...]": lambda raw: tuple(float(part) for part in raw.split(",") if part.strip()),
 }
 
@@ -174,15 +172,15 @@ def load_config(
     overrides: dict[str, Any] | None = None,
     environ: dict[str, str] | None = None,
 ) -> RunConfig:
-    """Assemble the effective RunConfig (defaults < file < env < overrides)."""
+    """Assemble the effective RunConfig (defaults < file < env < overrides); a str override is parsed."""
     values: dict[str, Any] = {}
     if config_file is not None:
         values.update(parse_config_file(config_file))
     values.update(_env_overrides(os.environ if environ is None else environ))
     if overrides:
         for key, val in overrides.items():
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"unknown field {key!r}")
+            if isinstance(val, str) or key not in _FIELD_TYPES:  # a str parses as in a file; unknown keys raise
+                val = _coerce(key, str(val), "override")
             values[key] = val
     try:
         return RunConfig(**values)

@@ -20,7 +20,6 @@ omega_l = g - (c + (-)^l s), is a cross-check that lives in `validate`.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .landscape import phonon_density
 from .model import (
     CoherentAmplitude,
     ModelParams,
+    _bonds,
     _dqds,
     _lapack,
     effective_coupling,
@@ -70,13 +70,9 @@ def _offdiagonal(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
     -A_j, with A_j = g exp(sqrt(2) Re[(zeta - i kappa)(z_{j+1} - z_j)]) the
     coherent-state average of the exponential hopping.  z_{j+1} - z_j is z times a
     step of the staggering, so the exponent is +-loc in the bulk and 0 across the
-    wall; z is never differenced, and a loc whose bonds would overflow is rejected.
+    wall; z is never differenced, and `_bonds` rejects a g or loc whose bonds overflow.
     """
-    g = effective_coupling(params)
-    loc = state_location(params, config.z)
-    if not abs(loc) < math.log(sys.float_info.max / max(g, 1.0)):  # NaN fails too
-        raise ValueError(f"kink bonds g exp(+-loc) overflow at state location {loc}")
-    return -g * np.exp(0.5 * np.diff(config.staggering()) * loc)
+    return -_bonds(params, config.z, np.diff(config.staggering()).astype(int) // 2)
 
 
 def kink_spectrum(params: ModelParams, config: KinkConfiguration) -> tuple[np.ndarray, float, np.ndarray]:
@@ -133,29 +129,28 @@ def _bidiagonal(off: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return d, e, n_filled
 
 
-def kink_position(order: np.ndarray, window: int = 4) -> float:
+_WINDOW = 4  # bonds in kink_position's moving average; even, so the period-2 background cancels
+
+
+def kink_position(order: np.ndarray) -> float:
     """Interpolated location of the dimerization-envelope sign change.
 
     The staggered bond order carries an alternating background from the
-    uniform part of the coherence; an even-width moving average cancels it
-    exactly (period-2 sum is zero) and leaves the dimerization envelope,
-    which flips sign at the wall.  If boundary oscillations produce
-    several crossings, the one with the largest left/right contrast wins;
-    the returned coordinate is the interpolated bond index at the window
-    center.
+    uniform part of the coherence; a moving average over _WINDOW = 4 bonds
+    cancels it exactly (period-2 sum is zero) and leaves the dimerization
+    envelope, which flips sign at the wall.  If boundary oscillations
+    produce several crossings, the one with the largest left/right contrast
+    wins; the returned coordinate is the interpolated bond index at the
+    window center.  A profile needs at least _WINDOW + 1 bonds.
     """
     order = np.asarray(order, dtype=float)
-    if window % 2 or window < 2:
-        raise ValueError("window must be a positive even integer")
-    if len(order) < window + 1:
+    if len(order) < _WINDOW + 1:
         raise ValueError("bond-order profile shorter than the smoothing window")
-    kernel = np.full(window, 1.0 / window)
-    envelope = np.convolve(order, kernel, mode="valid")
-    offset = 0.5 * (window - 1)
+    envelope = np.convolve(order, np.full(_WINDOW, 1.0 / _WINDOW), mode="valid")
+    offset = 0.5 * (_WINDOW - 1)
     crossings = np.flatnonzero(envelope[:-1] * envelope[1:] < 0.0)
     if not crossings.size:
-        zero = np.argmin(np.abs(envelope))
-        return float(zero) + offset
+        return float(np.argmin(np.abs(envelope))) + offset
     def contrast(j: int) -> float:
         left = envelope[max(0, j - 4) : j + 1]
         right = envelope[j + 1 : j + 6]
@@ -201,6 +196,8 @@ def propagate_kink(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if n_sites < _WINDOW + 2:  # kink_position's window needs _WINDOW + 1 links
+        raise ValueError(f"n_sites: propagating a kink needs at least {_WINDOW + 2} sites, got {n_sites}")
     n_filled = n_sites // 2  # floor(N/2), the rows of V
 
     def factors(n_wall: int):

@@ -6,8 +6,7 @@ eigenvalues.  Critical points of the total density are located by damped
 Newton iteration on the analytic gradient and Hessian and classified by
 the Hessian's eigenvalues; the off-origin double minimum together with
 the saddle at the origin is the numerical Peierls check.  Grids are
-evaluated as numpy arrays in one process; the ``workers`` config field and
-``--workers`` flag are accepted and have no effect.  E and K come from
+evaluated as numpy arrays in one process.  E and K come from
 ``scipy.special``, which only the two functions that evaluate them,
 `_slope_kernel` and `energy_densities`, import: importing this module
 loads no scipy.
@@ -41,7 +40,7 @@ class DomainError(ValueError):
     """Raised when the elliptic parameter leaves [-1, 1]."""
 
 
-Kind = Literal["minimum", "saddle", "maximum", "marginal"]
+Kind = Literal["minimum", "saddle", "marginal"]
 
 
 @dataclass(frozen=True)
@@ -165,13 +164,12 @@ def landscape_grid(
 
 
 def _classify(eigs: np.ndarray) -> Kind:
-    if np.any(np.abs(eigs) < 1e-8):
+    """Kind from the smaller of the ascending Hessian eigenvalues: the Hessian is diag(16, 4) plus
+    8 d2E_el/d(loc)2 (zeta, kappa)^T (zeta, kappa), and E_el is concave, so the larger is in [4, 16]."""
+    low = float(eigs[0])
+    if abs(low) < 1e-8:
         return "marginal"
-    if np.all(eigs > 0):
-        return "minimum"
-    if np.all(eigs < 0):
-        return "maximum"
-    return "saddle"
+    return "minimum" if low > 0 else "saddle"
 
 
 def _norm(x: float, y: float) -> float:
@@ -204,7 +202,7 @@ def find_critical_points(
     determinant is 0 or not finite (a Hessian entry is, at loc = 0).
     A seed whose iterate comes within 1e-6 of a point already found stops
     there and counts as converged and deduplicated; new points are
-    classified by the sign pattern of the Hessian eigenvalues.  Seeds that
+    classified by the sign of the smaller Hessian eigenvalue.  Seeds that
     fail to converge are skipped (counted in the result's `seeds`, not fatal).
     `max_step` caps the Newton step length (trust radius), keeping each
     seed attached to its local basin instead of jumping to far saddles.

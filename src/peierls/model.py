@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +73,20 @@ def effective_coupling(params: ModelParams) -> float:
     return params.t * math.exp(params.zeta**2 + params.kappa**2)
 
 
+def _bonds(params: ModelParams, z: CoherentAmplitude, step: np.ndarray) -> np.ndarray:
+    """Bonds g*exp(step_j loc), step_j in {-1, 0, 1}: +-1 in a staggered bulk, 0 across a kink's
+    wall.  A g that is not finite, or a loc whose bulk bonds would overflow, raises ValueError."""
+    g, loc = effective_coupling(params), state_location(params, z)
+    if not math.isfinite(g):
+        raise ValueError(f"effective coupling g = t exp(zeta^2 + kappa^2) is not finite: {g}")
+    if not abs(loc) < math.log(sys.float_info.max / max(g, 1.0)):  # NaN fails too
+        raise ValueError(f"bonds g exp(+-loc) overflow at state location {loc}")
+    return np.array([g * math.exp(-loc), g, g * math.exp(loc)])[step + 1]
+
+
 def staggered_bonds(params: ModelParams, z: CoherentAmplitude) -> np.ndarray:
     """The 2L bonds g*(cosh - (-)^j sinh) = g*exp(-(-)^j loc) of the periodic chain."""
-    g = effective_coupling(params)
-    loc = state_location(params, z)
-    return np.where(np.arange(2 * params.big_l) % 2 == 0, g * math.exp(-loc), g * math.exp(loc))
+    return _bonds(params, z, np.tile([-1, 1], params.big_l))
 
 
 def ring_spectrum(bonds: np.ndarray) -> np.ndarray:

@@ -101,6 +101,12 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         ("kink-propagate", "kink_dt=0", "dt must be positive"),
         ("dynamics", "x0=nan", "must be finite"),
         ("kink-propagate", "anchor_offset=500", "anchor_offset: initial anchor 100 + 500 outside"),
+        ("kink-propagate", "n_sites=5 kink_site=2 anchor_offset=0", "n_sites: propagating a kink needs at least 6"),
+        ("spectrum", "z_re=300", "bonds g exp(+-loc) overflow at state location"),
+        ("kink-spectrum", "z_re=300", "bonds g exp(+-loc) overflow at state location"),
+        ("spectrum", "t=1e308", "effective coupling g = t exp(zeta^2 + kappa^2) is not finite"),
+        ("kink-spectrum", "t=1e308", "effective coupling g = t exp(zeta^2 + kappa^2) is not finite"),
+        ("kink-propagate", "t=1e308", "effective coupling g = t exp(zeta^2 + kappa^2) is not finite"),
         ("landscape", "t=nan", "t must be finite"),
         ("landscape", "zeta=nan", "zeta must be finite"),
         ("landscape", "kappa=-inf", "kappa must be finite"),
@@ -168,6 +174,35 @@ def test_cli_hysteresis_is_an_unknown_field(tmp_path, capsys, monkeypatch, sourc
     # z is frozen, so the lattice wall is too: hysteresis tuned a re-anchoring that is gone
     assert run_naming_field(tmp_path, monkeypatch, source, "hysteresis", "0.25") == 2
     assert "unknown field 'hysteresis'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config", "set", "env"])
+def test_cli_workers_is_an_unknown_field(tmp_path, capsys, monkeypatch, source):
+    # grids are arrays evaluated in one process, so no field holds a worker count
+    assert run_naming_field(tmp_path, monkeypatch, source, "workers", "2") == 2
+    assert "unknown field 'workers'" in capsys.readouterr().err
+
+
+def test_cli_workers_flag_is_range_checked_and_read_by_nothing(tmp_path, capsys):
+    args = ["landscape", "--reference", "double_well", "--set", "resolution=11"]
+    assert main(args + ["-o", str(tmp_path / "zero"), "--workers", "0"]) == 2
+    assert capsys.readouterr().err == "error: --workers must be >= 1, got 0\n"
+    assert not (tmp_path / "zero").exists()
+    assert main(args + ["-o", str(tmp_path / "one"), "--workers", "1"]) == 0
+    assert main(args + ["-o", str(tmp_path / "two"), "--workers", "2"]) == 0
+    assert without_timings(tmp_path / "two") == without_timings(tmp_path / "one")
+    assert "workers" not in json.loads((tmp_path / "one" / "landscape.json").read_text())["config"]
+
+
+def test_load_config_parses_a_string_override():
+    # a str override goes through the parser config files, PEIERLS_* and --set use
+    path = reference_config_path("kink_dynamics")
+    assert load_config(path, {"kink_steps": "25", "seed_rings": "0.1, 0.2"}) == load_config(
+        path, {"kink_steps": 25, "seed_rings": (0.1, 0.2)})
+    with pytest.raises(ConfigError, match=r"override: field 'kink_steps': invalid literal"):
+        load_config(path, {"kink_steps": "2.5"})
+    with pytest.raises(ConfigError, match=r"unknown field 'workers'"):
+        load_config(path, {"workers": "2"})
 
 
 @pytest.mark.parametrize(
@@ -418,7 +453,7 @@ def test_cli_critical_points_decoupled(tmp_path):
 def test_cli_critical_points_reports_seeds_and_cusp(tmp_path):
     assert main(["critical-points", "--reference", "double_well", "-o", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / "critical_points.json").read_text())
-    assert meta["counts"] == {"minimum": 2, "saddle": 1, "maximum": 0, "marginal": 0}
+    assert meta["counts"] == {"minimum": 2, "saddle": 1, "marginal": 0}
     assert meta["seeds"] == {"tried": 17, "converged": 17, "skipped": 0, "deduplicated": 14}
     header, saddle, *_ = (tmp_path / "critical_points.csv").read_text().splitlines()
     assert header == "kind,re,im,gradient_norm,hessian_eig_low,hessian_eig_high"
@@ -622,7 +657,7 @@ def test_cli_kink_spectrum_overflowing_z_exits_2_without_a_warning(tmp_path, cap
         warnings.simplefilter("error")
         rc = main(["kink-spectrum", "--reference", "kink_dynamics", "-o", str(tmp_path), "--set", "z_re=1e308"])
     assert rc == 2
-    assert "kink bonds g exp(+-loc) overflow" in capsys.readouterr().err
+    assert "bonds g exp(+-loc) overflow" in capsys.readouterr().err
 
 
 def test_cli_kink_propagate_non_finite_phonon_energy_exits_2_without_a_warning(tmp_path, capsys):

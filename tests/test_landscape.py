@@ -470,6 +470,36 @@ def test_newton_matches_numpy_oracle_across_parameters(zeta, kappa, q, w):
     assert_matches_numpy_oracle(params, cfg.seeds(), cfg.newton_tol, cfg.max_step)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.floats(min_value=0.005, max_value=1.5),
+    zeta=st.floats(min_value=0.5, max_value=2.5),
+    kappa=st.floats(min_value=0.0, max_value=1.0),
+    q=st.floats(min_value=1.0, max_value=2.0),
+    w=st.floats(min_value=-2.0, max_value=0.0),
+    re=st.floats(min_value=-0.5, max_value=0.5),
+    im=st.floats(min_value=-0.5, max_value=0.5),
+)
+@example(t=1.0, zeta=0.5, kappa=0.0, q=1.0, w=0.0, re=1e-9, im=0.0)  # next to the cusp
+@example(t=0.005, zeta=2.5, kappa=1.0, q=2.0, w=-2.0, re=0.0, im=0.0)  # loc = 0: the across value
+def test_larger_hessian_eigenvalue_lies_between_the_phonon_curvatures(t, zeta, kappa, q, w, re, im):
+    # diag(16, 4) plus 8 d2E_el/d(loc)2 (zeta, kappa)^T (zeta, kappa), with d2E_el/d(loc)2 <= 0:
+    # by interlacing the larger eigenvalue lies in [4, 16], so no critical point is a maximum
+    params = ModelParams(t=t, zeta=zeta, kappa=kappa, q=q, w=w)
+    try:
+        _, _, h_rr, h_ri, h_ii = _gradient_and_hessian(params, _slope_kernel(params), re, im)
+    except DomainError:
+        return
+    hess = np.array([[h_rr, h_ri], [h_ri, h_ii]])
+    if np.isfinite(hess).all():
+        high = np.linalg.eigvalsh(hess)[1]
+    else:  # loc = 0: find_critical_points gives the curvature across (zeta, kappa) instead
+        (origin,) = find_critical_points(params, [(0.0, 0.0)])
+        assert origin.hessian_eigs[0] == -math.inf and origin.kind == "saddle"
+        high = origin.hessian_eigs[1]
+    assert 4.0 * (1.0 - 1e-12) <= high <= 16.0 * (1.0 + 1e-12)  # up to eigvalsh's rounding
+
+
 @pytest.mark.parametrize("d2", [-2.0, -math.inf], ids=["singular", "non-finite"])
 def test_newton_step_falls_back_to_minus_gradient(monkeypatch, d2):
     # zeta = 1, kappa = 0: h_rr = 16 + 8 d2 is 0 at d2 = -2 (det = 0) and -inf at d2 = -inf,
