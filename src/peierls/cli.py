@@ -13,13 +13,17 @@ files are written.  Identical configs produce byte-identical CSV; the
 seconds spent on config, compute and write go only into the JSON, as
 ``timings_s`` outside the config.
 Datasets are formatted column by column: each distinct float of a column
-is formatted once (shortest round-trip repr).  Rows are then streamed to
+is formatted once, as the shortest round-trip text `repr` writes.  orjson's
+Ryu formatter writes the values `repr` writes in fixed notation (+-0.0 and
+1e-4 <= |x| < 1e16), with the same digits; `repr` writes NaN, +-inf and
+the magnitudes it writes with an exponent.  Rows are then streamed to
 the file in blocks, so the writer holds the distinct texts, the index
 arrays and one block, never the whole file.  ``--workers`` must be >= 1
 and is read by nothing, not even the config: grids are numpy arrays in
 one process.  The import loads numpy and no scipy: landscape,
 critical-points and dynamics load ``scipy.special`` (E and K), spectrum and
-the kink commands ``scipy.linalg`` (LAPACK), each at its first use.
+the kink commands ``scipy.linalg`` (LAPACK), each at its first use, and
+the first CSV write loads orjson.
 
 Exit codes: 0 ok, 1 validation failure, 2 config/domain error or any
 other out-of-range input (a ValueError), 3 numerical failure.
@@ -56,12 +60,31 @@ EXIT_NUMERICAL = 3
 _BLOCK_ROWS = 8192  # CSV rows joined and written at a time; bounds the writer's memory
 
 
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """The shortest round-trip text of each float64 in `values`, exactly as `repr` writes it.
+    Where `repr` writes fixed notation (+-0.0 and 1e-4 <= |x| < 1e16) the text comes from
+    orjson's Ryu formatter, which writes the same digits there, _BLOCK_ROWS values per call;
+    NaN, +-inf and the magnitudes `repr` writes with an exponent (1e-05, 1e+16) keep `repr`."""
+    import orjson  # loaded by the first CSV write, not by `import peierls.cli`
+
+    texts = np.empty(len(values), dtype=object)
+    magnitude = np.abs(values)
+    fixed = ((magnitude >= 1e-4) & (magnitude < 1e16)) | (magnitude == 0.0)  # NaN compares False
+    plain = values[fixed]
+    texts[fixed] = [text for start in range(0, len(plain), _BLOCK_ROWS)
+                    for text in orjson.dumps(plain[start:start + _BLOCK_ROWS],
+                                             option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")]
+    texts[~fixed] = [repr(v) for v in values[~fixed].tolist()]
+    return texts
+
+
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Any]) -> None:
     """Write equal-length columns as CSV rows.  A float64 column gets one
-    shortest round-trip repr per distinct bit pattern (-0.0 and 0.0 stay
-    apart), gathered back by index; any other column is written with str.
-    Rows go out _BLOCK_ROWS at a time, the header with the first block, so
-    the whole file is never held as one string."""
+    shortest round-trip text per distinct bit pattern (-0.0 and 0.0 stay
+    apart; `_float_texts`: orjson's Ryu digits where `repr` writes fixed
+    notation, `repr` elsewhere), gathered back by index; any other column is
+    written with str.  Rows go out _BLOCK_ROWS at a time, the header with the
+    first block, so the whole file is never held as one string."""
     cells: list[Callable[[slice], Iterable[str]]] = []
     rows = 0
     for column in columns:
@@ -69,7 +92,7 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Any]) -> Non
         rows = len(arr)
         if arr.dtype == np.float64:
             bits, inverse = np.unique(arr.view(np.int64), return_inverse=True)
-            distinct = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+            distinct = _float_texts(bits.view(np.float64))
             cells.append(lambda block, distinct=distinct, inverse=inverse: distinct[inverse[block]])
         else:
             cells.append(lambda block, arr=arr: map(str, arr[block].tolist()))

@@ -70,7 +70,7 @@ def _offdiagonal(params: ModelParams, config: KinkConfiguration) -> np.ndarray:
     -A_j, with A_j = g exp(sqrt(2) Re[(zeta - i kappa)(z_{j+1} - z_j)]) the
     coherent-state average of the exponential hopping.  z_{j+1} - z_j is z times a
     step of the staggering, so the exponent is +-loc in the bulk and 0 across the
-    wall; z is never differenced, and `_bonds` rejects a g or loc whose bonds overflow.
+    wall; z is never differenced, and `_bonds` rejects a loc whose bonds overflow.
     """
     return -_bonds(params, config.z, np.diff(config.staggering()).astype(int) // 2)
 

@@ -31,7 +31,9 @@ __all__ = [
 @dataclass(frozen=True)
 class ModelParams:
     """Model constants: bare hopping t, couplings zeta/kappa, chain half
-    length big_l (2L sites), deformation parameter q > 0 and exponent w."""
+    length big_l (2L sites), deformation parameter q > 0 and exponent w.
+    The effective coupling g = t exp(zeta^2 + kappa^2) and the deformation
+    factors q^w and q^-w must be finite; anything else raises ValueError."""
 
     t: float = 1.0
     zeta: float = 0.0
@@ -50,6 +52,19 @@ class ModelParams:
             raise ValueError(f"q must be positive, got {self.q}")
         if self.big_l < 1:
             raise ValueError(f"big_l must be >= 1, got {self.big_l}")
+        if not math.isfinite(_finite_or_inf(effective_coupling, self)):
+            raise ValueError(f"effective coupling g = t exp(zeta^2 + kappa^2) is not finite at "
+                             f"t={self.t}, zeta={self.zeta}, kappa={self.kappa}")
+        if not all(math.isfinite(_finite_or_inf(pow, self.q, sign * self.w)) for sign in (1.0, -1.0)):
+            raise ValueError(f"q^w and q^-w must be finite, got q={self.q}, w={self.w}")
+
+
+def _finite_or_inf(f, *args) -> float:
+    """f(*args), with an OverflowError read as inf."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -75,10 +90,8 @@ def effective_coupling(params: ModelParams) -> float:
 
 def _bonds(params: ModelParams, z: CoherentAmplitude, step: np.ndarray) -> np.ndarray:
     """Bonds g*exp(step_j loc), step_j in {-1, 0, 1}: +-1 in a staggered bulk, 0 across a kink's
-    wall.  A g that is not finite, or a loc whose bulk bonds would overflow, raises ValueError."""
+    wall.  A loc whose bulk bonds would overflow raises ValueError (`ModelParams` keeps g finite)."""
     g, loc = effective_coupling(params), state_location(params, z)
-    if not math.isfinite(g):
-        raise ValueError(f"effective coupling g = t exp(zeta^2 + kappa^2) is not finite: {g}")
     if not abs(loc) < math.log(sys.float_info.max / max(g, 1.0)):  # NaN fails too
         raise ValueError(f"bonds g exp(+-loc) overflow at state location {loc}")
     return np.array([g * math.exp(-loc), g, g * math.exp(loc)])[step + 1]

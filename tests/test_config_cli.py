@@ -107,6 +107,18 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         ("spectrum", "t=1e308", "effective coupling g = t exp(zeta^2 + kappa^2) is not finite"),
         ("kink-spectrum", "t=1e308", "effective coupling g = t exp(zeta^2 + kappa^2) is not finite"),
         ("kink-propagate", "t=1e308", "effective coupling g = t exp(zeta^2 + kappa^2) is not finite"),
+        ("landscape", "t=1e308", "is not finite at t=1e+308, zeta=1.4, kappa=0.35"),
+        ("critical-points", "t=1e308", "is not finite at t=1e+308, zeta=1.4, kappa=0.35"),
+        ("dynamics", "t=1e308", "is not finite at t=1e+308, zeta=1.4, kappa=0.35"),
+        ("landscape", "zeta=30", "effective coupling g = t exp(zeta^2 + kappa^2) is not finite at"),
+        ("spectrum", "zeta=30", "effective coupling g = t exp(zeta^2 + kappa^2) is not finite at"),
+        ("dynamics", "zeta=30", "effective coupling g = t exp(zeta^2 + kappa^2) is not finite at"),
+        ("kink-spectrum", "zeta=30", "effective coupling g = t exp(zeta^2 + kappa^2) is not finite at"),
+        ("kink-propagate", "kappa=1e200", "effective coupling g = t exp(zeta^2 + kappa^2) is not finite at"),
+        ("landscape", "w=1e300", "q^w and q^-w must be finite, got q=1.5, w=1e+300"),
+        ("critical-points", "w=-1e300", "q^w and q^-w must be finite, got q=1.5, w=-1e+300"),
+        ("dynamics", "q=1e-310", "q^w and q^-w must be finite, got q=1e-310, w=-1.0"),
+        ("spectrum", "w=1e300", "q^w and q^-w must be finite"),
         ("landscape", "t=nan", "t must be finite"),
         ("landscape", "zeta=nan", "zeta must be finite"),
         ("landscape", "kappa=-inf", "kappa must be finite"),
@@ -283,26 +295,28 @@ if len(sys.argv) > 1:
         code = peierls.cli.main(json.loads(sys.argv[1]))
     except SystemExit as exc:  # --help
         code = exc.code
-print(json.dumps([code, [m for m in ("scipy.special", "scipy.linalg", "scipy.integrate") if m in sys.modules]]))
+print(json.dumps([code, [m for m in ("scipy.special", "scipy.linalg", "scipy.integrate", "orjson")
+                         if m in sys.modules]]))
 """
 
 
 def test_cli_commands_load_only_the_scipy_paths_they_evaluate(tmp_path):
     # E and K (scipy.special) only where the continuum density or the slope kernel is evaluated,
-    # LAPACK (scipy.linalg) only where a ring or kink spectrum is solved, scipy.integrate nowhere
+    # LAPACK (scipy.linalg) only where a ring or kink spectrum is solved, scipy.integrate nowhere,
+    # and the float formatter (orjson) only where a CSV is written
     def import_map(*argv):
-        """[exit code, loaded scipy subpackages] after the import, a config load and `argv`,
-        in a fresh interpreter."""
+        """[exit code, loaded scipy subpackages and orjson] after the import, a config load and
+        `argv`, in a fresh interpreter."""
         env = {**os.environ, "PYTHONPATH": str(Path(peierls.__file__).parents[1])}
         run = [sys.executable, "-c", IMPORT_MAP_RUN, *([json.dumps(argv)] if argv else [])]
         proc = subprocess.run(run, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
-    special, linalg = "scipy.special", "scipy.linalg"
+    special, linalg, orjson = "scipy.special", "scipy.linalg", "orjson"
     expected = {
-        "landscape": [special], "critical-points": [special], "dynamics": [special],
-        "spectrum": [linalg], "kink-spectrum": [linalg], "kink-propagate": [linalg],
+        "landscape": [special, orjson], "critical-points": [special, orjson], "dynamics": [special, orjson],
+        "spectrum": [linalg, orjson], "kink-spectrum": [linalg, orjson], "kink-propagate": [linalg, orjson],
         "validate": [special, linalg],
     }
     assert set(expected) == set(COMMANDS)
@@ -324,13 +338,16 @@ def oracle_csv(header, columns):
 
 SIGNED_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000000))[0]
 PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0]
-EDGE_FLOATS = [0.0, -0.0, math.nan, SIGNED_NAN, PAYLOAD_NAN, math.inf, -math.inf, 5e-324, -2.5e-310, 0.1]
+# the writer's formatter switches between orjson and repr at |x| = 1e-4 and 1e16
+SWITCH_OVER = [1e-4, -1e-4, math.nextafter(1e-4, 0.0), 1e15, math.nextafter(1e16, 0.0), 1e16,
+               9999999999999998.0, 2.0**53, 0.1 + 0.2]
+EDGE_FLOATS = [0.0, -0.0, math.nan, SIGNED_NAN, PAYLOAD_NAN, math.inf, -math.inf, 5e-324, -2.5e-310, 0.1, *SWITCH_OVER]
 
 
 @st.composite
 def csv_columns(draw):
     rows = draw(st.integers(0, 12))
-    floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+    floats = st.floats() | st.sampled_from(EDGE_FLOATS) | st.floats(1e-4, 1e16)
     kinds = {
         "float": lambda: np.array(draw(st.lists(floats, min_size=rows, max_size=rows)), dtype=np.float64),
         "float_list": lambda: draw(st.lists(floats, min_size=rows, max_size=rows)),
@@ -346,6 +363,7 @@ def csv_columns(draw):
 @example(columns=[np.array([0.0, -0.0, -0.0, 0.0, math.nan, SIGNED_NAN, PAYLOAD_NAN, math.inf, -math.inf, 5e-324]),
                   np.arange(10), ["a", "b", "", "ok", "domain", "a", "b", "c", "d", "e"]])
 @example(columns=[np.array([]), [], np.array([], dtype=int)])
+@example(columns=[np.array(SWITCH_OVER), [-x for x in SWITCH_OVER]])
 def test_write_csv_matches_per_cell_oracle(tmp_path_factory, columns):
     path = tmp_path_factory.mktemp("csv") / "out.csv"
     header = [f"c{i}" for i in range(len(columns))]
@@ -361,6 +379,8 @@ def test_write_csv_matches_oracle_across_blocks(tmp_path, rows):
     if rows >= 2:
         floats[-2:] = [-0.0, PAYLOAD_NAN]
     columns = [np.arange(rows), floats, rng.standard_normal(rows), [f"s{i % 7}" for i in range(rows)]]
+    if rows > 2 * _BLOCK_ROWS:  # the normal column's orjson-formatted values fill more than one chunk
+        assert np.count_nonzero(np.abs(np.unique(columns[2])) >= 1e-4) > _BLOCK_ROWS
     path = tmp_path / "out.csv"
     _write_csv(path, ["index", "edge", "normal", "label"], columns)
     assert path.read_bytes() == oracle_csv(["index", "edge", "normal", "label"], columns)
@@ -482,11 +502,12 @@ def test_cli_critical_points_at_large_zeta_warns_nothing(tmp_path):
     assert (tmp_path / "critical_points.csv").read_text().splitlines()[1:] == ["saddle,0.0,0.0,0.0,-inf,4.0"]
 
 
-def test_cli_critical_points_overflowing_slope_prefactor_exits_3(tmp_path, capsys):
-    # g = t exp(zeta^2 + kappa^2) overflows: the slope kernel fails when it is built,
-    # even though the only seed sits at loc = 0, where the slope is 0 without it
-    assert main(["critical-points", "-o", str(tmp_path), "--set", "zeta=30", "--set", "seed_rings=0"]) == 3
-    assert "numerical error: math range error" in capsys.readouterr().err
+def test_cli_critical_points_overflowing_slope_prefactor_exits_2(tmp_path, capsys):
+    # g = t exp(zeta^2 + kappa^2) overflows: the model parameters are rejected before the search,
+    # even though the only seed sits at loc = 0, where the slope is 0 without g
+    assert main(["critical-points", "-o", str(tmp_path), "--set", "zeta=30", "--set", "seed_rings=0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: effective coupling g = t exp(zeta^2 + kappa^2) is not finite at t=1.0, zeta=30.0, kappa=0.0\n"
 
 
 def test_validate_curvature_gate(monkeypatch):
@@ -841,7 +862,7 @@ def fuzz_setting(draw):
     reference=st.sampled_from([None, "double_well", "kink_dynamics"]),
     pairs=st.lists(fuzz_setting(), min_size=1, max_size=4),
 )
-@example(command="spectrum", reference=None, pairs=["zeta=30"])  # exp overflows: exit 3
+@example(command="spectrum", reference=None, pairs=["zeta=30"])  # g overflows: exit 2
 @example(command="kink-spectrum", reference="kink_dynamics", pairs=["z_re=1e308"])  # non-finite chain: exit 2
 @example(command="critical-points", reference=None, pairs=["zeta=2.225073858507e-311"])  # zeta^2 underflows: exit 0
 def test_cli_fuzz_exits_0_2_or_3(tmp_path_factory, command, reference, pairs):

@@ -52,6 +52,27 @@ def test_param_validation():
         ModelParams(big_l=0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"zeta": 30.0}, {"zeta": 1e200}, {"kappa": -27.0}, {"t": 1e308, "zeta": 1.0}, {"t": 1e300, "zeta": 20.0},
+])
+def test_params_reject_a_coupling_that_overflows(fields):
+    with pytest.raises(ValueError, match=r"effective coupling g = t exp\(zeta\^2 \+ kappa\^2\) is not finite at t="):
+        ModelParams(**fields)
+
+
+@pytest.mark.parametrize("q, w", [(1.5, 1e300), (1.5, -1e300), (1e-310, -1.0), (1e-310, 1.0), (1e300, 2.0)])
+def test_params_reject_a_deformation_factor_that_overflows(q, w):
+    with pytest.raises(ValueError, match=r"q\^w and q\^-w must be finite"):
+        ModelParams(q=q, w=w)
+
+
+def test_params_accept_the_largest_finite_coupling():
+    # zeta^2 = 709 leaves g = exp(709) ~ 8.2e307 finite; q^+-w = 1 at w = 0 for any q > 0
+    assert math.isfinite(effective_coupling(ModelParams(zeta=math.sqrt(709.0))))
+    ModelParams(q=1e-310, w=0.0)
+    ModelParams(q=1e300, w=1.0)
+
+
 def test_effective_coupling_at_least_t():
     p = ModelParams(t=0.3, zeta=1.2, kappa=0.4)
     assert effective_coupling(p) == pytest.approx(0.3 * math.exp(1.2**2 + 0.4**2), rel=1e-15)
