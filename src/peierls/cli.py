@@ -9,9 +9,9 @@ function of the config that returns what it computed and writes nothing;
 command but validate) plus a metadata JSON embedding the effective
 config, the package version and a schema version, so any artifact can be
 re-run from its metadata alone.  validate prints its report once the
-files are written.  Identical configs produce byte-identical CSV; the
-seconds spent on config, compute and write go only into the JSON, as
-``timings_s`` outside the config.
+files are written.  At one BLAS thread count, identical configs produce
+byte-identical CSV; the seconds spent on config, compute and write go only
+into the JSON, as ``timings_s`` outside the config.
 Datasets are formatted column by column: each distinct float of a column
 is formatted once, as the shortest round-trip text `repr` writes.  orjson's
 Ryu formatter writes the values `repr` writes in fixed notation (+-0.0 and

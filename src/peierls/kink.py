@@ -187,7 +187,8 @@ def propagate_kink(
     state is fixed by its coherence: the bond order's links are the diagonal and subdiagonal
     of Re(phi_A phi_B^+) = W R V^T.  The launch state is real, so R = Re(a_k b_k^+) =
     c X c + sigma X^T sigma comes elementwise from X = a b^T, and a step is one product W R.
-    The orbitals are formed once, at the end, for `orthonormality_error`.
+    The orbitals are never formed: `orthonormality_error` is ||W^T W - I|| + ||V^T V - I|| +
+    ||a^T a + b^T b - I|| (Frobenius), of the factors and the launch, so it does not depend on `steps`.
 
     The initial orbitals are the half-filled ground state (w_k, -v_k)/sqrt 2 of the chain
     with its wall at n0 + initial_anchor_offset, which lets a deliberately displaced
@@ -240,15 +241,8 @@ def propagate_kink(
         r[0] += r[1]
         t += dt
         record(t, w @ r[0], v)
-    del block, r, w0, v0  # the end-of-run orbitals need only (a, b), the phases and (W, V)
-    cos, sin = phase[:, :n_filled, None]
-    a_k, b_k = np.zeros((n_a, n_filled, 2)), np.empty((n_filled, n_filled, 2))  # (Re, Im) pairs
-    a_k[..., 0], a_k[:n_filled, :, 1] = phase[0, :, None] * a, -sin * b
-    b_k[..., 0], b_k[..., 1] = cos * b, -sin * a[:n_filled]
-    flat = np.empty((n_sites, 2 * n_filled))  # the orbitals' float view: even rows phi_A, odd rows phi_B
-    flat[0::2], flat[1::2] = w @ a_k.reshape(n_a, -1), v @ b_k.reshape(n_filled, -1)
-    gram = flat.T @ flat  # one symmetric product; phi^+ phi is Re from its even-even and odd-odd parts, Im the rest
-    del flat
-    re, im = gram[0::2, 0::2] + gram[1::2, 1::2] - np.eye(n_filled), gram[0::2, 1::2] - gram[1::2, 0::2]
-    traj.orthonormality_error = math.hypot(np.linalg.norm(re), np.linalg.norm(im))
+    del block, r, w0, v0  # so the residual's products, one at a time, stay below the loop's peak
+    eye = np.eye(n_filled)  # a step rotates (a, b) exactly, so a_k^+ a_k + b_k^+ b_k = a^T a + b^T b
+    traj.orthonormality_error = float(np.linalg.norm(w.T @ w - np.eye(n_a)) + np.linalg.norm(v.T @ v - eye)
+                                      + np.linalg.norm(a.T @ a + b.T @ b - eye))
     return traj
