@@ -16,9 +16,12 @@ Datasets are formatted column by column: each distinct float of a column
 is formatted once, as the shortest round-trip text `repr` writes.  orjson's
 Ryu formatter writes the values `repr` writes in fixed notation (+-0.0 and
 1e-4 <= |x| < 1e16), with the same digits; `repr` writes NaN, +-inf and
-the magnitudes it writes with an exponent.  Rows are then streamed to
-the file in blocks, so the writer holds the distinct texts, the index
-arrays and one block, never the whole file.  ``--workers`` must be >= 1
+the magnitudes it writes with an exponent.  Every column becomes distinct
+texts that end in their separator plus an index of one text per row
+(landscape passes its axes and status already in that form).  Blocks of
+rows are gathered by index into one object table, joined once and
+written, so the writer holds the distinct texts, the index arrays and
+one block, never the whole file.  ``--workers`` must be >= 1
 and is read by nothing, not even the config: grids are numpy arrays in
 one process.  The import loads numpy and no scipy: landscape,
 critical-points and dynamics load ``scipy.special`` (E and K), spectrum and
@@ -36,7 +39,7 @@ import json
 import sys
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,49 +63,57 @@ EXIT_NUMERICAL = 3
 _BLOCK_ROWS = 8192  # CSV rows joined and written at a time; bounds the writer's memory
 
 
-def _float_texts(values: np.ndarray) -> np.ndarray:
-    """The shortest round-trip text of each float64 in `values`, exactly as `repr` writes it.
-    Where `repr` writes fixed notation (+-0.0 and 1e-4 <= |x| < 1e16) the text comes from
-    orjson's Ryu formatter, which writes the same digits there, _BLOCK_ROWS values per call;
-    NaN, +-inf and the magnitudes `repr` writes with an exponent (1e-05, 1e+16) keep `repr`."""
+def _float_texts(values: np.ndarray, sep: str) -> np.ndarray:
+    """The shortest round-trip text of each float64 in `values`, exactly as `repr` writes it,
+    each ending in `sep`.  Where `repr` writes fixed notation (+-0.0 and 1e-4 <= |x| < 1e16) the
+    text comes from orjson's Ryu formatter, which writes the same digits there, _BLOCK_ROWS values
+    per call; its commas become `sep` plus a NUL, and the chunk is split on the NUL.  NaN, +-inf
+    and the magnitudes `repr` writes with an exponent (1e-05, 1e+16) keep `repr`."""
     import orjson  # loaded by the first CSV write, not by `import peierls.cli`
 
     texts = np.empty(len(values), dtype=object)
     magnitude = np.abs(values)
     fixed = ((magnitude >= 1e-4) & (magnitude < 1e16)) | (magnitude == 0.0)  # NaN compares False
-    plain = values[fixed]
-    texts[fixed] = [text for start in range(0, len(plain), _BLOCK_ROWS)
-                    for text in orjson.dumps(plain[start:start + _BLOCK_ROWS],
-                                             option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")]
-    texts[~fixed] = [repr(v) for v in values[~fixed].tolist()]
+    where = np.flatnonzero(fixed)
+    for start in range(0, len(where), _BLOCK_ROWS):
+        chunk = where[start:start + _BLOCK_ROWS]
+        text = orjson.dumps(values[chunk], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        texts[chunk] = (text.replace(",", sep + "\0") + sep).split("\0")
+    texts[~fixed] = [repr(v) + sep for v in values[~fixed].tolist()]
     return texts
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Any]) -> None:
-    """Write equal-length columns as CSV rows.  A float64 column gets one
-    shortest round-trip text per distinct bit pattern (-0.0 and 0.0 stay
-    apart; `_float_texts`: orjson's Ryu digits where `repr` writes fixed
-    notation, `repr` elsewhere), gathered back by index; any other column is
-    written with str.  Rows go out _BLOCK_ROWS at a time, the header with the
-    first block, so the whole file is never held as one string."""
-    cells: list[Callable[[slice], Iterable[str]]] = []
-    rows = 0
-    for column in columns:
-        arr = np.asarray(column)
-        rows = len(arr)
-        if arr.dtype == np.float64:
-            bits, inverse = np.unique(arr.view(np.int64), return_inverse=True)
-            distinct = _float_texts(bits.view(np.float64))
-            cells.append(lambda block, distinct=distinct, inverse=inverse: distinct[inverse[block]])
+    """Write equal-length columns as CSV rows.  Each column becomes distinct texts, each
+    ending in its separator ("," or, in the last column, a newline), and an index of one
+    text per row.  A column may come factored, as a (values, index) pair.  A float64
+    column gets one shortest round-trip text per distinct bit pattern (-0.0 and 0.0 stay
+    apart; `_float_texts`: orjson's Ryu digits where `repr` writes fixed notation, `repr`
+    elsewhere); any other column is written with str, one text per row.  Each block of
+    _BLOCK_ROWS rows is gathered by index into one object table and joined once, so the
+    whole file is never held as one string."""
+    factored = []
+    for j, column in enumerate(columns):
+        sep = "\n" if j == len(columns) - 1 else ","
+        values, index = column if isinstance(column, tuple) else (column, None)
+        values = np.asarray(values)
+        if index is None and values.dtype == np.float64:
+            bits, index = np.unique(values.view(np.int64), return_inverse=True)
+            values = bits.view(np.float64)
+        if values.dtype == np.float64:
+            texts = _float_texts(values, sep)
         else:
-            cells.append(lambda block, arr=arr: map(str, arr[block].tolist()))
-    first = [",".join(header)]
+            texts = np.array([str(v) + sep for v in values.tolist()], dtype=object)
+        factored.append((texts, np.arange(len(texts)) if index is None else index))
+    rows = len(factored[0][1])
+    table = np.empty((min(rows, _BLOCK_ROWS), len(factored)), dtype=object)
     with path.open("wb") as f:
-        for start in range(0, max(rows, 1), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            lines = [*first, *map(",".join, zip(*(cell(block) for cell in cells)))]
-            f.write(("\n".join(lines) + "\n").encode("ascii"))
-            first = []
+        f.write((",".join(header) + "\n").encode("ascii"))
+        for start in range(0, rows, _BLOCK_ROWS):
+            block = table[:min(rows - start, _BLOCK_ROWS)]
+            for j, (texts, index) in enumerate(factored):
+                block[:, j] = texts[index[start:start + len(block)]]
+            f.write("".join(block.ravel().tolist()).encode("ascii"))
 
 
 class _Result(NamedTuple):
@@ -126,15 +137,18 @@ def cmd_landscape(config: RunConfig) -> _Result:
             (config.im_min, config.im_max),
             config.resolution,
         )
-    names = ["re", "im", "e_phonon", "e_electronic", "e_total"]
     in_domain = grid["in_domain"]
-    labels = np.array(["ok", "domain", "non-finite"], dtype=object)  # shared strings, not a fixed width per cell
-    status = labels[np.where(np.isfinite(grid["e_total"]), 0, 1 + in_domain)]
+    res = config.resolution
+    row, col = np.divmod(np.arange(in_domain.size), res)  # re-major: cell = res * row + col
+    status = np.where(np.isfinite(grid["e_total"]), 0, 1 + in_domain)
+    energies = ["e_phonon", "e_electronic", "e_total"]
     return _Result(
         "landscape",
         {"cells": in_domain.size, "domain_cells": int(np.count_nonzero(~in_domain))},
-        [*names, "status"],
-        [*(grid[name] for name in names), status],
+        ["re", "im", *energies, "status"],
+        # the axes and the status go to the writer factored, as (values, index) pairs
+        [(grid["re"][::res], row), (grid["im"][:res], col), *(grid[name] for name in energies),
+         (["ok", "domain", "non-finite"], status)],
     )
 
 

@@ -329,10 +329,13 @@ def test_cli_commands_load_only_the_scipy_paths_they_evaluate(tmp_path):
 
 def oracle_csv(header, columns):
     """The per-cell rule the column writer must reproduce: the shortest
-    round-trip repr for floats, str for anything else."""
+    round-trip repr for floats, str for anything else; a (values, index)
+    column is values[index]."""
     def fmt(v):
         return repr(float(v)) if isinstance(v, float) else str(v)
-    lines = [",".join(header), *(",".join(fmt(v) for v in row) for row in zip(*columns))]
+    def expand(column):
+        return [column[0][i] for i in column[1]] if isinstance(column, tuple) else column
+    lines = [",".join(header), *(",".join(fmt(v) for v in row) for row in zip(*map(expand, columns)))]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -348,11 +351,22 @@ EDGE_FLOATS = [0.0, -0.0, math.nan, SIGNED_NAN, PAYLOAD_NAN, math.inf, -math.inf
 def csv_columns(draw):
     rows = draw(st.integers(0, 12))
     floats = st.floats() | st.sampled_from(EDGE_FLOATS) | st.floats(1e-4, 1e16)
+
+    def factored():
+        # distinct floats or labels, and an index of one per row into them
+        if draw(st.booleans()):
+            values = np.array(draw(st.lists(floats, min_size=1, max_size=6)), dtype=np.float64)
+        else:
+            values = draw(st.lists(st.text("abcdefghijklmnopqrstuvwxyz_-", max_size=6), min_size=1, max_size=6))
+        index = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows))
+        return values, np.array(index, dtype=np.intp)
+
     kinds = {
         "float": lambda: np.array(draw(st.lists(floats, min_size=rows, max_size=rows)), dtype=np.float64),
         "float_list": lambda: draw(st.lists(floats, min_size=rows, max_size=rows)),
         "int": lambda: np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=rows, max_size=rows))),
         "str": lambda: draw(st.lists(st.text("abcdefghijklmnopqrstuvwxyz_", max_size=6), min_size=rows, max_size=rows)),
+        "factored": factored,
     }
     chosen = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=5))
     return [kinds[kind]() for kind in chosen]
@@ -364,6 +378,7 @@ def csv_columns(draw):
                   np.arange(10), ["a", "b", "", "ok", "domain", "a", "b", "c", "d", "e"]])
 @example(columns=[np.array([]), [], np.array([], dtype=int)])
 @example(columns=[np.array(SWITCH_OVER), [-x for x in SWITCH_OVER]])
+@example(columns=[(["ok", "domain"], np.arange(len(EDGE_FLOATS)) % 2), np.array(EDGE_FLOATS)])  # "\n" after each edge
 def test_write_csv_matches_per_cell_oracle(tmp_path_factory, columns):
     path = tmp_path_factory.mktemp("csv") / "out.csv"
     header = [f"c{i}" for i in range(len(columns))]
@@ -378,12 +393,14 @@ def test_write_csv_matches_oracle_across_blocks(tmp_path, rows):
     floats = rng.choice([0.0, 0.1, math.nan, 1e300, -2.5e-310], rows)
     if rows >= 2:
         floats[-2:] = [-0.0, PAYLOAD_NAN]
-    columns = [np.arange(rows), floats, rng.standard_normal(rows), [f"s{i % 7}" for i in range(rows)]]
+    columns = [np.arange(rows), floats, rng.standard_normal(rows), [f"s{i % 7}" for i in range(rows)],
+               (np.array([0.5, -0.0, math.nan, 1e20]), rng.integers(0, 4, rows))]  # factored, cut by each block edge
     if rows > 2 * _BLOCK_ROWS:  # the normal column's orjson-formatted values fill more than one chunk
         assert np.count_nonzero(np.abs(np.unique(columns[2])) >= 1e-4) > _BLOCK_ROWS
     path = tmp_path / "out.csv"
-    _write_csv(path, ["index", "edge", "normal", "label"], columns)
-    assert path.read_bytes() == oracle_csv(["index", "edge", "normal", "label"], columns)
+    header = ["index", "edge", "normal", "label", "factored"]
+    _write_csv(path, header, columns)
+    assert path.read_bytes() == oracle_csv(header, columns)
 
 
 def test_write_csv_peak_memory_below_twice_the_file(tmp_path):
@@ -401,15 +418,27 @@ def test_write_csv_peak_memory_below_twice_the_file(tmp_path):
     assert peak < 2 * path.stat().st_size
 
 
-def test_cli_landscape_with_domain_cells_matches_oracle(tmp_path):
-    overrides = ["--set", "w=-3", "--set", "re_max=1.5"]
-    assert main(["landscape", "--reference", "kink_dynamics", "-o", str(tmp_path), *overrides]) == 0
-    cfg = load_config(reference_config_path("kink_dynamics"), overrides={"w": -3.0, "re_max": 1.5})
-    assert cfg.resolution == 41
-    grid = landscape_grid(cfg.model_params(), (cfg.re_min, cfg.re_max), (cfg.im_min, cfg.im_max), cfg.resolution)
-    assert 0 < np.count_nonzero(~grid["in_domain"]) < grid["in_domain"].size
+DOMAIN = {"w": -3.0, "re_max": 1.5}
+
+
+@pytest.mark.parametrize(("reference", "overrides", "domain", "non_finite"), [
+    pytest.param("kink_dynamics", DOMAIN, 1174, 0, id="domain"),  # of 41² cells
+    pytest.param("kink_dynamics", {**DOMAIN, "resolution": 1}, 1, 0, id="resolution-1"),
+    pytest.param("kink_dynamics", {**DOMAIN, "resolution": 2}, 3, 0, id="resolution-2"),
+    pytest.param("double_well", {"re_min": 0.1, "re_max": 0.1}, 0, 0, id="degenerate-axis"),  # re texts repeat
+    pytest.param("double_well", {"re_min": -1e200, "re_max": 1e200, "resolution": 5}, 0, 20, id="non-finite"),
+])
+def test_cli_landscape_with_domain_cells_matches_oracle(tmp_path, reference, overrides, domain, non_finite):
+    # cmd_landscape hands the writer its axes and status factored; the oracle writes them cell by cell
+    argv = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value!r}")]
+    assert main(["landscape", "--reference", reference, "-o", str(tmp_path), *argv]) == 0
+    cfg = load_config(reference_config_path(reference), overrides=overrides)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = landscape_grid(cfg.model_params(), (cfg.re_min, cfg.re_max), (cfg.im_min, cfg.im_max), cfg.resolution)
     names = ["re", "im", "e_phonon", "e_electronic", "e_total"]
-    status = ["ok" if ok else "domain" for ok in grid["in_domain"].tolist()]
+    status = ["ok" if math.isfinite(e) else "non-finite" if ok else "domain"
+              for e, ok in zip(grid["e_total"].tolist(), grid["in_domain"].tolist())]
+    assert (status.count("domain"), status.count("non-finite")) == (domain, non_finite)
     expected = oracle_csv([*names, "status"], [*(grid[name] for name in names), status])
     assert (tmp_path / "landscape.csv").read_bytes() == expected
 
