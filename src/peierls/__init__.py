@@ -2,7 +2,7 @@
 and kink propagation for an exponential electron-phonon coupling with a
 q-deformed mode algebra."""
 
-from .algebra import ModeEnergies, deformed_mode_matrix, mode_eigenvalues, mode_energies, xi
+from .algebra import ModeEnergies, mode_eigenvalues, mode_energies, xi
 from .config import ConfigError, RunConfig, load_config, reference_config_path
 from .dynamics import PhaseState, Trajectory, drive_kernel, integrate
 from .kink import (

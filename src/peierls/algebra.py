@@ -1,15 +1,15 @@
-"""Deformed su(2) generators in the spin-1/2 representation and the
-per-mode 2x2 Hamiltonians.
+"""The per-mode 2x2 Hamiltonians of the q-deformed su(2) algebra and their eigenvalues.
 
 This module is the one implementation of the per-mode physics.  Every
-mode function takes a mode index k or an array of indices: the 2x2
-matrices then stack as shape (..., 2, 2) and the eigenvalues come back
-elementwise, so callers evaluate all modes at once.
+mode function takes a mode index k or an array of indices, and the
+eigenvalues come back elementwise, so callers evaluate all modes at once.
 
-Ground truth is the explicit 2x2 matrix built from the deformed
-generators.  The printed closed-form eigenvalues are a cross-check that
-lives in `peierls.validate`; they differ from the matrix's by a q^(2w)
-factor on the delta^2 term under the square root whenever w != 0.
+Ground truth is the entries of H_k = -2 eps J_3 - delta (J_+ + J_-) that
+`mode_eigenvalues` writes out; the tests build H_k from the deformed
+generators by matrix products and pin its eigenvalues to them bitwise.
+The printed closed-form eigenvalues are a cross-check that lives in
+`peierls.validate`; they differ from the block's by a q^(2w) factor on the
+delta^2 term under the square root whenever w != 0.
 """
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ __all__ = [
     "xi",
     "ModeEnergies",
     "mode_energies",
-    "deformed_mode_matrix",
     "mode_eigenvalues",
 ]
-
-# spin-1/2 raising and lowering generators of the undeformed algebra
-_KP = np.array([[0.0, 1.0], [0.0, 0.0]])
-_KM = _KP.T
 
 
 def xi(q: float, w: float) -> float:
@@ -64,34 +59,19 @@ def mode_energies(params: ModelParams, z: CoherentAmplitude, k: int | np.ndarray
     )
 
 
-def _deformed_generators(q: float, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """J_+, J_-, J_3 of the deformed algebra in the spin-1/2 representation."""
-    xq = xi(q, w)
-    pref = q**w * math.sqrt(xq)
-    jp = pref * np.diag([q ** (-0.5 + 0.5), q ** (0.5 + 0.5)]) @ _KP
-    jm = pref * np.diag([q ** (-0.5 - 0.5), q ** (0.5 - 0.5)]) @ _KM
-    j3 = q ** (2 * w) * (xq / 2.0) * (q * _KP @ _KM - (1.0 / q) * _KM @ _KP)
-    return jp, jm, j3
+def mode_eigenvalues(params: ModelParams, mode: ModeEnergies) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(lambda_plus, lambda_minus), lambda_plus <= lambda_minus, of H_k over the shape of the mode's fields.
 
-
-def deformed_mode_matrix(params: ModelParams, mode: ModeEnergies) -> np.ndarray:
-    """H_k = -2 eps J_3 - delta (J_+ + J_-), real symmetric, shape (..., 2, 2)."""
-    jp, jm, j3 = _deformed_generators(params.q, params.w)
-    eps = np.asarray(mode.epsilon)[..., None, None]
-    delta = np.asarray(mode.delta)[..., None, None]
-    return -2.0 * eps * j3 - delta * (jp + jm)
-
-
-def mode_eigenvalues(matrix: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """(lambda_plus, lambda_minus) with lambda_plus <= lambda_minus, over the
-    leading axes of a (..., 2, 2) stack.
-
-    lambda_plus is the filled lower branch.  Computed from the 2x2 matrix,
-    not from the printed closed form.
+    In the spin-1/2 representation J_+ + J_- = q^w sqrt(xi_q) sigma_x and
+    J_3 = q^(2w) (xi_q / 2) diag(q, -1/q).  lambda_plus is the filled lower branch.
+    Computed from these entries, not from the printed closed form.
     """
-    a, d = matrix[..., 0, 0], matrix[..., 1, 1]
-    b = matrix[..., 0, 1]
+    q, w = params.q, params.w
+    xq = xi(q, w)
+    j3 = q ** (2 * w) * (xq / 2.0)
+    a = (-2.0 * mode.epsilon) * (j3 * q)
+    d = (-2.0 * mode.epsilon) * (j3 * -(1.0 / q))
+    b = mode.delta * (q**w * math.sqrt(xq))  # the sign of the off-diagonal is lost in the hypot
     half_tr = 0.5 * (a + d)
     root = np.hypot(0.5 * (a - d), b)
     return half_tr - root, half_tr + root
-

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 
-from .algebra import deformed_mode_matrix, mode_eigenvalues, mode_energies, xi
+from .algebra import mode_eigenvalues, mode_energies, xi
 from .model import CoherentAmplitude, ModelParams, effective_coupling, state_location
 from .special import _e_derivatives
 
@@ -115,7 +115,7 @@ def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> flo
     small terms.
     """
     modes = mode_energies(params, z, np.arange(params.big_l))
-    return float(np.mean(mode_eigenvalues(deformed_mode_matrix(params, modes))[0]))
+    return float(np.mean(mode_eigenvalues(params, modes)[0]))
 
 
 def energy_densities(params: ModelParams, re: float | np.ndarray, im: float | np.ndarray) -> dict[str, np.ndarray]:
@@ -189,7 +189,7 @@ class CriticalPoints(list):
 
 def find_critical_points(
     params: ModelParams,
-    seeds: Iterable[tuple[float, float]] | Sequence[CoherentAmplitude],
+    seeds: Iterable[tuple[float, float]],
     tol: float = 1e-10,
     max_iter: int = 200,
     max_step: float | None = None,
@@ -224,7 +224,7 @@ def find_critical_points(
 
     for seed in seeds:
         found.seeds["tried"] += 1
-        re, im = map(float, (seed.re, seed.im) if isinstance(seed, CoherentAmplitude) else seed)
+        re, im = map(float, seed)
         converged = False
         try:
             g_re, g_im, h_rr, h_ri, h_ii = evaluate(re, im)

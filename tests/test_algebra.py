@@ -1,4 +1,4 @@
-"""Deformed generators, per-mode matrices, and closed-form cross-checks."""
+"""Per-mode eigenvalues against the generator-built matrices, and closed-form cross-checks."""
 
 import math
 
@@ -6,10 +6,44 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from peierls.algebra import deformed_mode_matrix, mode_eigenvalues, mode_energies, xi
+from peierls.algebra import ModeEnergies, mode_eigenvalues, mode_energies, xi
 from peierls.landscape import electronic_density_modesum
 from peierls.model import CoherentAmplitude, ModelParams
 from peierls.validate import _lambda_discrepancy as lambda_discrepancy, _paper_lambda as paper_lambda
+
+
+# The oracle: H_k built from the deformed generators by matrix products, which
+# `mode_eigenvalues` writes out entry by entry.
+# spin-1/2 raising and lowering generators of the undeformed algebra
+_KP = np.array([[0.0, 1.0], [0.0, 0.0]])
+_KM = _KP.T
+
+
+def _deformed_generators(q: float, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J_+, J_-, J_3 of the deformed algebra in the spin-1/2 representation."""
+    xq = xi(q, w)
+    pref = q**w * math.sqrt(xq)
+    jp = pref * np.diag([q ** (-0.5 + 0.5), q ** (0.5 + 0.5)]) @ _KP
+    jm = pref * np.diag([q ** (-0.5 - 0.5), q ** (0.5 - 0.5)]) @ _KM
+    j3 = q ** (2 * w) * (xq / 2.0) * (q * _KP @ _KM - (1.0 / q) * _KM @ _KP)
+    return jp, jm, j3
+
+
+def deformed_mode_matrix(params: ModelParams, mode: ModeEnergies) -> np.ndarray:
+    """H_k = -2 eps J_3 - delta (J_+ + J_-), real symmetric, shape (..., 2, 2)."""
+    jp, jm, j3 = _deformed_generators(params.q, params.w)
+    eps = np.asarray(mode.epsilon)[..., None, None]
+    delta = np.asarray(mode.delta)[..., None, None]
+    return -2.0 * eps * j3 - delta * (jp + jm)
+
+
+def matrix_eigenvalues(matrix):
+    """(lambda_plus, lambda_minus) over the leading axes of a (..., 2, 2) symmetric stack."""
+    a, d = matrix[..., 0, 0], matrix[..., 1, 1]
+    b = matrix[..., 0, 1]
+    half_tr = 0.5 * (a + d)
+    root = np.hypot(0.5 * (a - d), b)
+    return half_tr - root, half_tr + root
 
 
 def params_at(q, w, big_l=16):
@@ -49,7 +83,7 @@ def test_mode_energies_rejects_index_array_out_of_range():
 def test_modesum_array_path_matches_scalar_loop(q, w):
     p = params_at(q, w, big_l=64)
     z = amplitude(0.4)
-    lower = [mode_eigenvalues(deformed_mode_matrix(p, mode_energies(p, z, k)))[0] for k in range(p.big_l)]
+    lower = [mode_eigenvalues(p, mode_energies(p, z, k))[0] for k in range(p.big_l)]
     reference = math.fsum(lower) / p.big_l
     assert electronic_density_modesum(p, z) == pytest.approx(reference, rel=1e-15, abs=0.0)
 
@@ -59,7 +93,7 @@ def test_undeformed_matrix_eigenvalues():
     z = amplitude(0.4)
     for k in range(p.big_l):
         mode = mode_energies(p, z, k)
-        lo, hi = mode_eigenvalues(deformed_mode_matrix(p, mode))
+        lo, hi = mode_eigenvalues(p, mode)
         r = math.hypot(mode.epsilon, mode.delta)
         assert lo == pytest.approx(-r, abs=1e-14)
         assert hi == pytest.approx(r, abs=1e-14)
@@ -71,9 +105,9 @@ def test_matrix_trace_identity():
     xq = xi(p.q, p.w)
     for k in (0, 3, 7):
         mode = mode_energies(p, z, k)
-        h = deformed_mode_matrix(p, mode)
+        lo, hi = mode_eigenvalues(p, mode)
         expected = -mode.epsilon * (p.q - 1.0 / p.q) * p.q ** (2 * p.w) * xq
-        assert np.trace(h) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        assert lo + hi == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("q", [0.5, 1.2, 1.5, 2.0])
@@ -97,8 +131,8 @@ def test_contraction_to_su2():
     p2 = params_at(1.0 + 1e-7, 0.0, big_l=64)
     worst = 0.0
     for k in range(64):
-        a = mode_eigenvalues(deformed_mode_matrix(p1, mode_energies(p1, z, k)))
-        b = mode_eigenvalues(deformed_mode_matrix(p2, mode_energies(p2, z, k)))
+        a = mode_eigenvalues(p1, mode_energies(p1, z, k))
+        b = mode_eigenvalues(p2, mode_energies(p2, z, k))
         worst = max(worst, abs(a[0] - b[0]), abs(a[1] - b[1]))
     assert worst < 1e-6
 
@@ -111,8 +145,17 @@ def test_paper_lambda_ordering():
         assert lo <= hi
 
 
-@given(st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=-0.6, max_value=0.6))
-def test_matrix_symmetric(q, loc):
-    p = params_at(q, -1.0)
-    h = deformed_mode_matrix(p, mode_energies(p, amplitude(loc), 3))
-    assert abs(h[0, 1] - h[1, 0]) < 1e-14
+@given(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.integers(min_value=1, max_value=300),
+    st.floats(min_value=-0.6, max_value=0.6),
+)
+def test_mode_eigenvalues_bitwise_equal_generator_matrix(log_q, w, big_l, loc):
+    p = params_at(math.exp(log_q), w, big_l=big_l)
+    modes = mode_energies(p, amplitude(loc), np.arange(big_l))
+    h = deformed_mode_matrix(p, modes)
+    assert np.array_equal(h, np.swapaxes(h, -1, -2))  # the oracle is symmetric, so b is either off-diagonal
+    lo, hi = mode_eigenvalues(p, modes)
+    expected_lo, expected_hi = matrix_eigenvalues(h)
+    assert np.array_equal(lo, expected_lo) and np.array_equal(hi, expected_hi)

@@ -611,6 +611,19 @@ def test_validate_landscape_checks_fail_when_no_draw_is_in_the_domain(tmp_path, 
         assert (checks[name]["measured"], checks[name]["passed"]) == (None, False)
 
 
+@pytest.mark.parametrize("reference", ["double_well", "kink_dynamics"])
+@pytest.mark.parametrize("t", ["1e5", "1e8", "1e200", "1e300"])
+def test_validate_passes_at_large_t(tmp_path, capsys, reference, t):
+    # the kink spectra scale with g ~ t and the landscape gradient with t: an absolute kink
+    # error or a gradient norm through a sum of squares fails valid input from t = 1e5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["validate", "--reference", reference, "-o", str(tmp_path), "--set", f"t={t}"])
+    out, err = capsys.readouterr()
+    assert rc == 0, [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert err == ""
+
+
 def test_cli_spectrum_constant(tmp_path):
     rc = main(["spectrum", "--reference", "double_well", "-o", str(tmp_path),
                "--set", "q=1.0", "--set", "z_re=0.05", "--set", "z_im=0.05"])
