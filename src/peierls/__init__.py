@@ -28,7 +28,6 @@ from .model import (
     effective_coupling,
     ring_spectrum,
     staggered_bonds,
-    staggered_ring_bands,
     state_location,
 )
 

@@ -203,7 +203,8 @@ def find_critical_points(
     A seed whose iterate comes within 1e-6 of a point already found stops
     there and counts as converged and deduplicated; new points are
     classified by the sign of the smaller Hessian eigenvalue.  Seeds that
-    fail to converge are skipped (counted in the result's `seeds`, not fatal).
+    fail to converge, or whose evaluation leaves the domain or overflows, are
+    skipped (counted in the result's `seeds`, not fatal).
     `max_step` caps the Newton step length (trust radius), keeping each
     seed attached to its local basin instead of jumping to far saddles.
     The result's `evaluations` counts every slope-kernel call, trial points
@@ -249,7 +250,7 @@ def find_critical_points(
                     t_re, t_im = re + lam * s_re, im + lam * s_im
                     try:
                         trial = evaluate(t_re, t_im)
-                    except DomainError:
+                    except (DomainError, OverflowError):  # cosh(loc) overflows past loc ~ 710
                         lam *= 0.5
                         continue
                     if _norm(trial[0], trial[1]) < gnorm:
@@ -259,7 +260,7 @@ def find_critical_points(
                     lam *= 0.5
                 else:
                     break
-        except DomainError:
+        except (DomainError, OverflowError):
             pass
         if not converged:
             found.seeds["skipped"] += 1

@@ -24,7 +24,6 @@ __all__ = [
     "effective_coupling",
     "staggered_bonds",
     "ring_spectrum",
-    "staggered_ring_bands",
 ]
 
 
@@ -174,14 +173,3 @@ def _dqds(d: np.ndarray, e: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(f"bidiagonal SVD failed (LAPACK info {info[0]})")
     return d
 
-
-def staggered_ring_bands(params: ModelParams, z: CoherentAmplitude) -> np.ndarray:
-    """Analytic spectrum of the staggered ring: +-2g*sqrt(sinh^2 + cos^2(pi m/L)).
-
-    Independent of any eigensolver; used as an oracle for `ring_spectrum`.
-    """
-    g = effective_coupling(params)
-    loc = state_location(params, z)
-    m = np.arange(params.big_l)
-    root = 2.0 * g * np.sqrt(math.sinh(loc) ** 2 + np.cos(np.pi * m / params.big_l) ** 2)
-    return np.sort(np.concatenate([-root, root]))

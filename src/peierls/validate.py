@@ -256,10 +256,11 @@ def _difference_block(params: ModelParams, config: KinkConfiguration) -> np.ndar
     return omega * np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
 
-def _zero_subspace(block: np.ndarray) -> tuple[int, np.ndarray]:
-    """(dimension, orthonormal basis rows) of the kernel of `block`, by SVD."""
+def _zero_subspace(block: np.ndarray, g: float) -> tuple[int, np.ndarray]:
+    """(dimension, orthonormal basis rows) of the kernel of `block`, by SVD: singular values
+    below 1e-10 of the larger of the chain's coupling g and the largest one count as zero."""
     u, sv, _ = np.linalg.svd(block)
-    null = sv < 1e-10 * max(1.0, float(sv[0]))
+    null = sv < 1e-10 * max(g, float(sv[0]))
     return int(null.sum()), u[:, null].T
 
 
@@ -281,7 +282,7 @@ def _check_kink(report: ValidationReport, params: ModelParams) -> None:
     target = np.sort([-math.sqrt(2.0) * abs(om), 0.0, math.sqrt(2.0) * abs(om)])
     report.add("kink-difference-block-eigs", float(np.max(np.abs(eigs - target))) / max(1.0, target[-1]), 1e-10,
                "{0, +-sqrt(2) |omega_n|}: an identity of the 3x3 block for every omega_n != 0, so it tests its builder")
-    dim, basis = _zero_subspace(block)
+    dim, basis = _zero_subspace(block, g)
     kernel_err = 1.0
     if dim == 1:
         overlap = abs(float(basis[0] @ (np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0))))

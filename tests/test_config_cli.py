@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import peierls
 import peierls.validate
+from peierls.algebra import mode_energies
 from peierls.cli import _BLOCK_ROWS, _COMMANDS as COMMANDS, _write_csv, main
 from peierls.config import (
     ConfigError,
@@ -32,7 +33,7 @@ from peierls.config import (
     reference_config_path,
 )
 from peierls.landscape import _gradient_and_hessian, _slope_kernel, energy_densities, find_critical_points, landscape_grid
-from peierls.model import CoherentAmplitude, staggered_ring_bands
+from peierls.model import CoherentAmplitude
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -531,6 +532,18 @@ def test_cli_critical_points_at_large_zeta_warns_nothing(tmp_path):
     assert (tmp_path / "critical_points.csv").read_text().splitlines()[1:] == ["saddle,0.0,0.0,0.0,-inf,4.0"]
 
 
+def test_cli_critical_points_far_seeds_do_not_drop_the_points_found(tmp_path):
+    # the ring of seeds at |z| = 300 overflows cosh(loc): its 8 seeds are skipped, and the points
+    # the other 17 found are written exactly as the reference run writes them
+    assert main(["critical-points", "--reference", "double_well", "-o", str(tmp_path / "ref")]) == 0
+    assert main(["critical-points", "--reference", "double_well", "-o", str(tmp_path / "far"),
+                 "--set", "seed_rings=0.05,0.12,300"]) == 0
+    meta = json.loads((tmp_path / "far" / "critical_points.json").read_text())
+    assert meta["seeds"] == {"tried": 25, "converged": 17, "skipped": 8, "deduplicated": 14}
+    csv = [(tmp_path / run / "critical_points.csv").read_bytes() for run in ("ref", "far")]
+    assert csv[0] == csv[1]
+
+
 def test_cli_critical_points_overflowing_slope_prefactor_exits_2(tmp_path, capsys):
     # g = t exp(zeta^2 + kappa^2) overflows: the model parameters are rejected before the search,
     # even though the only seed sits at loc = 0, where the slope is 0 without g
@@ -611,17 +624,29 @@ def test_validate_landscape_checks_fail_when_no_draw_is_in_the_domain(tmp_path, 
         assert (checks[name]["measured"], checks[name]["passed"]) == (None, False)
 
 
-@pytest.mark.parametrize("reference", ["double_well", "kink_dynamics"])
-@pytest.mark.parametrize("t", ["1e5", "1e8", "1e200", "1e300"])
-def test_validate_passes_at_large_t(tmp_path, capsys, reference, t):
-    # the kink spectra scale with g ~ t and the landscape gradient with t: an absolute kink
-    # error or a gradient norm through a sum of squares fails valid input from t = 1e5
+def assert_validate_passes(tmp_path, capsys, reference, t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["validate", "--reference", reference, "-o", str(tmp_path), "--set", f"t={t}"])
     out, err = capsys.readouterr()
     assert rc == 0, [line for line in out.splitlines() if line.startswith("FAIL")]
     assert err == ""
+
+
+@pytest.mark.parametrize("reference", ["double_well", "kink_dynamics"])
+@pytest.mark.parametrize("t", ["1e5", "1e8", "1e200", "1e300"])
+def test_validate_passes_at_large_t(tmp_path, capsys, reference, t):
+    # the kink spectra scale with g ~ t and the landscape gradient with t: an absolute kink
+    # error or a gradient norm through a sum of squares fails valid input from t = 1e5
+    assert_validate_passes(tmp_path, capsys, reference, t)
+
+
+@pytest.mark.parametrize("reference", ["double_well", "kink_dynamics"])
+@pytest.mark.parametrize("t", ["1e-12", "1e-100", "1e-300"])
+def test_validate_passes_at_small_t(tmp_path, capsys, reference, t):
+    # the kink block's entries scale with g ~ t: a kernel cut of an absolute 1e-10 reads the
+    # whole 3x3 block as kernel from t = 1e-11 down
+    assert_validate_passes(tmp_path, capsys, reference, t)
 
 
 def test_cli_spectrum_constant(tmp_path):
@@ -639,9 +664,14 @@ def test_cli_spectrum_reports_its_error_against_the_analytic_bands(tmp_path):
     meta = json.loads((tmp_path / "spectrum.json").read_text())
     assert "max_band_error" not in meta["config"]
     config = load_config(reference_config_path("double_well"))
-    bands = staggered_ring_bands(config.model_params(), CoherentAmplitude(config.z_re, config.z_im))
-    real_space = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1, usecols=1)
-    assert meta["max_band_error"] == np.max(np.abs(real_space - bands))  # the CSV's reprs round-trip
+    params = config.model_params()
+    m = mode_energies(params, CoherentAmplitude(config.z_re, config.z_im), np.arange(params.big_l))
+    r = 2.0 * np.hypot(m.epsilon, m.delta)
+    bands = np.sort(np.concatenate([-r, r]))
+    real_space, mode_value = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1, usecols=(1, 2),
+                                        unpack=True)
+    assert np.array_equal(2.0 * mode_value, bands)  # the CSV's reprs round-trip
+    assert meta["max_band_error"] == np.max(np.abs(real_space - 2.0 * mode_value))  # from the CSV alone
     assert meta["max_band_error"] <= 1e-12 * np.max(np.abs(bands))
 
 

@@ -217,7 +217,7 @@ def test_difference_block_eigenvalues_and_kernel():
     eigs = np.sort(np.linalg.eigvalsh(block))
     expected = np.sort([-math.sqrt(2.0) * abs(om), 0.0, math.sqrt(2.0) * abs(om)])
     assert np.max(np.abs(eigs - expected)) < 1e-10
-    dim, basis = _zero_subspace(block)
+    dim, basis = _zero_subspace(block, effective_coupling(p))
     assert dim == 1
     assert abs(abs(basis[0] @ (np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)))) == pytest.approx(1.0, abs=1e-12)
 
@@ -228,7 +228,7 @@ def test_zero_subspace_degenerates_when_omega_vanishes():
     cfg = KinkConfiguration(n=10, z=CoherentAmplitude(0.0, 0.0), n_sites=30)
     d = _difference_block(p, cfg)
     assert np.max(np.abs(d)) < 1e-14
-    dim, basis = _zero_subspace(d)
+    dim, basis = _zero_subspace(d, effective_coupling(p))
     assert dim == 3
     assert np.allclose(basis @ basis.T, np.eye(3), atol=1e-12)
 

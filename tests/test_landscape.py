@@ -333,6 +333,13 @@ def test_critical_point_seed_counts():
     assert points == [] and points.seeds == {"tried": 1, "converged": 0, "skipped": 1, "deduplicated": 0}
 
 
+def test_a_seed_whose_slope_overflows_is_skipped():
+    # at Re z = 300 the state location is ~1,500, where cosh(loc) overflows: the seed is skipped
+    _, p = double_well_params()
+    points = find_critical_points(p, [(300.0, 0.0)])
+    assert points == [] and points.seeds == {"tried": 1, "converged": 0, "skipped": 1, "deduplicated": 0}
+
+
 def test_newton_hessian_reuses_the_gradient_evaluation(monkeypatch):
     # one call of the search's one slope kernel per trial point gives both
     # gradient and Hessian; neither the iteration nor the classification adds any
@@ -399,7 +406,7 @@ def numpy_critical_points(params, seeds, tol=1e-10, max_iter=200, max_step=None)
                     trial = pt + lam * step
                     try:
                         gt, ht = evaluate(trial)
-                    except DomainError:
+                    except (DomainError, OverflowError):
                         lam *= 0.5
                         continue
                     if np.linalg.norm(gt) < gnorm:
@@ -408,7 +415,7 @@ def numpy_critical_points(params, seeds, tol=1e-10, max_iter=200, max_step=None)
                     lam *= 0.5
                 else:
                     break
-        except DomainError:
+        except (DomainError, OverflowError):
             pass
         if not converged:
             counts["skipped"] += 1

@@ -1,4 +1,4 @@
-"""Chain kinematics: staggered bonds, the chiral ring spectrum against a dense oracle, analytic ring bands."""
+"""Chain kinematics: staggered bonds, the chiral ring spectrum against a dense oracle and the mode closed form."""
 
 import math
 
@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from peierls.algebra import mode_energies
 from peierls.model import (
     CoherentAmplitude,
     ModelParams,
     effective_coupling,
     ring_spectrum,
     staggered_bonds,
-    staggered_ring_bands,
     state_location,
 )
 
@@ -24,6 +24,13 @@ def g_one_params(big_l=64):
 
 def amplitude_for_location(params, loc):
     return CoherentAmplitude(loc / (2.0 * math.sqrt(2.0) * params.zeta), 0.0)
+
+
+def mode_bands(params, z):
+    """The ring's bands +-2 hypot(eps, delta) from the mode closed form, ascending."""
+    m = mode_energies(params, z, np.arange(params.big_l))
+    r = 2.0 * np.hypot(m.epsilon, m.delta)
+    return np.sort(np.concatenate([-r, r]))
 
 
 def single_particle_matrix(bonds):
@@ -123,7 +130,7 @@ def test_spectrum_matches_analytic_ring_bands():
     p = g_one_params(big_l=64)
     z = amplitude_for_location(p, 0.4)
     real_space = ring_spectrum(staggered_bonds(p, z))
-    analytic = staggered_ring_bands(p, z)
+    analytic = mode_bands(p, z)
     assert np.max(np.abs(real_space - analytic)) < 1e-12
 
 
@@ -174,15 +181,15 @@ def test_ring_spectrum_rejects_fewer_than_two_bonds():
 @given(st.floats(min_value=-0.8, max_value=0.8))
 def test_ring_bands_even_in_location(loc):
     p = g_one_params(big_l=8)
-    plus = staggered_ring_bands(p, amplitude_for_location(p, loc))
-    minus = staggered_ring_bands(p, amplitude_for_location(p, -loc))
+    plus = mode_bands(p, amplitude_for_location(p, loc))
+    minus = mode_bands(p, amplitude_for_location(p, -loc))
     assert np.max(np.abs(plus - minus)) < 1e-12
 
 
 def test_gap_opens_with_location():
     p = g_one_params(big_l=32)
-    gapless = staggered_ring_bands(p, CoherentAmplitude(0.0, 0.0))
-    gapped = staggered_ring_bands(p, amplitude_for_location(p, 0.5))
+    gapless = mode_bands(p, CoherentAmplitude(0.0, 0.0))
+    gapped = mode_bands(p, amplitude_for_location(p, 0.5))
     # smallest |eigenvalue| equals 2g|sinh(loc)| for even L
     assert np.min(np.abs(gapless)) < 1e-10
     assert np.min(np.abs(gapped)) == pytest.approx(2.0 * math.sinh(0.5), rel=1e-10)
