@@ -3,10 +3,12 @@
 Commands: landscape, critical-points, spectrum, dynamics, kink-spectrum,
 kink-propagate, validate.  One flat parser takes the command as its
 positional argument and the same five options for every command, before
-or after it; ``peierls --help`` lists the commands.  Each command is a
-function of the config that returns what it computed and writes nothing;
-`main` alone makes ``--out`` and writes the result: a CSV dataset (every
-command but validate) plus a metadata JSON embedding the effective
+or after it; ``peierls --help`` lists the commands.  A run's config is the
+defaults, then the ``--config`` or ``--reference`` file, then each ``--set``
+pair, read by the config file's line parser; nothing else sets a field.
+Each command is a function of the config that returns what it computed and
+writes nothing; `main` alone makes ``--out`` and writes the result: a CSV
+dataset (every command but validate) plus a metadata JSON embedding the effective
 config, the package version and a schema version, so any artifact can be
 re-run from its metadata alone.  validate prints its report once the
 files are written.  At one BLAS thread count, identical configs produce
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import mode_energies
-from .config import ConfigError, RunConfig, _coerce, load_config, reference_config_path
+from .config import ConfigError, RunConfig, _parse_setting, load_config, reference_config_path
 from .dynamics import PhaseState, integrate
 from .kink import KinkConfiguration, kink_spectrum, propagate_kink
 from .landscape import energy_densities, find_critical_points, landscape_grid
@@ -194,7 +196,7 @@ def cmd_dynamics(config: RunConfig) -> _Result:
         PhaseState(config.x0, config.v0),
         config.dt,
         config.steps,
-        settle_tol=config.settle_tol if config.settle_tol > 0 else None,
+        settle_tol=config.settle_tol,
     )
     if traj.termination == "non-finite":
         raise FloatingPointError("trajectory became non-finite")
@@ -274,16 +276,6 @@ _COMMANDS = {
 }
 
 
-def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        out[key.strip()] = _coerce(key.strip(), raw, f"--set {pair!r}")
-    return out
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peierls",
@@ -314,7 +306,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     stamps = [perf_counter()]
     try:
-        overrides = _parse_overrides(args.set)
+        overrides = dict(_parse_setting(pair, "--set") for pair in args.set)
         if args.workers is not None and args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         config_file = args.config

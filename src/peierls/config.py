@@ -1,16 +1,16 @@
-"""Run configuration: flat key=value files, environment overrides, CLI overrides.
+"""Run configuration: flat key=value files and command-line overrides.
 
-Precedence (later wins): built-in defaults < config file < PEIERLS_*
-environment variables < command-line flags.  All numerics are decimal;
-parse errors name the file, line, and key.  A run's effective config is
-embedded verbatim in its output metadata so any artifact can be re-run
-from the metadata alone.
+Precedence (later wins): built-in defaults < config file < command-line
+``--set`` pairs.  A file line and a ``--set`` pair are one ``key = value``
+text each, read by one parser.  All numerics are decimal; parse errors
+name the file and line, or ``--set``, and the key.  A run's effective
+config is embedded verbatim in its output metadata so any artifact can be
+re-run from the metadata alone.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -25,9 +25,6 @@ __all__ = [
     "load_config",
     "reference_config_path",
 ]
-
-ENV_PREFIX = "PEIERLS_"
-
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
@@ -129,11 +126,16 @@ _PARSERS = {
 }
 
 
-def _coerce(key: str, raw: str, where: str) -> Any:
+def _parse_setting(text: str, where: str) -> tuple[str, Any]:
+    """(field, value) of one 'key = value' text: a config-file line or a --set pair."""
+    key, eq, raw = text.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"{where}: expected 'key = value', got {text.strip()!r}")
     if key not in _FIELD_TYPES:
         raise ConfigError(f"{where}: unknown field {key!r}")
     try:
-        return _PARSERS[_FIELD_TYPES[key]](raw.strip())
+        return key, _PARSERS[_FIELD_TYPES[key]](raw.strip())
     except ValueError as exc:
         raise ConfigError(f"{where}: field {key!r}: {exc}") from exc
 
@@ -148,40 +150,21 @@ def parse_config_file(path: str | Path) -> dict[str, Any]:
     values: dict[str, Any] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        values[key] = _coerce(key, raw, f"{path}:{lineno}")
+        if stripped:
+            key, value = _parse_setting(stripped, f"{path}:{lineno}")
+            values[key] = value
     return values
 
 
-def _env_overrides(environ: dict[str, str]) -> dict[str, Any]:
-    values: dict[str, Any] = {}
-    for key in environ:  # keys only: os.environ decodes a value on lookup, so only PEIERLS_ values are read
-        if key.startswith(ENV_PREFIX):
-            field = key[len(ENV_PREFIX):].lower()
-            values[field] = _coerce(field, environ[key], f"environment variable {key}")
-    return values
-
-
-def load_config(
-    config_file: str | Path | None = None,
-    overrides: dict[str, Any] | None = None,
-    environ: dict[str, str] | None = None,
-) -> RunConfig:
-    """Assemble the effective RunConfig (defaults < file < env < overrides); a str override is parsed."""
+def load_config(config_file: str | Path | None = None, overrides: dict[str, Any] | None = None) -> RunConfig:
+    """Assemble the effective RunConfig (defaults < file < overrides); a str override is parsed as a file line."""
     values: dict[str, Any] = {}
     if config_file is not None:
         values.update(parse_config_file(config_file))
-    values.update(_env_overrides(os.environ if environ is None else environ))
-    if overrides:
-        for key, val in overrides.items():
-            if isinstance(val, str) or key not in _FIELD_TYPES:  # a str parses as in a file; unknown keys raise
-                val = _coerce(key, str(val), "override")
-            values[key] = val
+    for key, val in (overrides or {}).items():
+        if isinstance(val, str) or key not in _FIELD_TYPES:  # unknown keys raise
+            key, val = _parse_setting(f"{key}={val}", "override")
+        values[key] = val
     try:
         return RunConfig(**values)
     except TypeError as exc:

@@ -85,15 +85,18 @@ def integrate(
     initial: PhaseState,
     dt: float,
     steps: int,
-    settle_tol: float | None = None,
+    settle_tol: float = 0.0,
 ) -> Trajectory:
     """Fixed-step RK4 trajectory of the restricted equation of motion.
 
     Each stage is one call of a per-run closure: one `_slope_kernel` call and
-    `drive_kernel`'s factors at p = x.  Aborts (with a recorded termination
-    reason) if the state leaves the elliptic domain or becomes non-finite.
-    With `settle_tol` set, stops early once |v| after a step and |dv/dt| at
-    its start (kept as `Trajectory.dv_dt`) both fall below the tolerance.
+    `drive_kernel`'s factors at p = x.  Aborts with a recorded termination:
+    "domain-exit" if a stage leaves the elliptic domain, "non-finite" if the
+    state after a step is not finite or runs away within one (a stage
+    overflows `cosh`, or its elliptic parameter is not finite).  With
+    `settle_tol` > 0 (0 turns the test off), stops early once |v| after a
+    step and |dv/dt| at its start (kept as `Trajectory.dv_dt`) both fall
+    below the tolerance.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -122,6 +125,9 @@ def integrate(
         except DomainError:
             traj.termination = "domain-exit"
             break
+        except (OverflowError, ValueError):  # the kernel's overflow or non-finite m: the run diverged in this step
+            traj.termination = "non-finite"
+            break
         x += dt * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
         v += dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
         t += dt
@@ -132,7 +138,7 @@ def integrate(
         traj.x.append(x)
         traj.v.append(v)
         traj.dv_dt = a1
-        if settle_tol is not None and abs(v) < settle_tol and abs(a1) < settle_tol:
+        if abs(v) < settle_tol and abs(a1) < settle_tol:
             traj.termination = "settled"
             break
     return traj

@@ -88,7 +88,7 @@ def kink_spectrum(params: ModelParams, config: KinkConfiguration) -> tuple[np.nd
     evals = np.concatenate([-s, np.zeros(config.n_sites % 2), s[::-1]])
     loc = state_location(params, config.z)
     gap_edge = 2.0 * effective_coupling(params) * abs(math.sinh(loc))
-    in_gap = np.abs(evals) < gap_edge - 1e-12
+    in_gap = np.abs(evals) < gap_edge * (1.0 - 1e-12)  # a relative margin: the edge scales with g
     return evals, float(evals[0]), in_gap
 
 

@@ -58,10 +58,26 @@ def test_parse_reports_line_and_field(tmp_path):
 
 
 def test_precedence_file_env_cli(tmp_path):
+    # defaults < --config file < --set; the environment is no channel (see test_cli_ignores_peierls_environment)
     path = write_cfg(tmp_path, "t = 0.5\nq = 1.5\n")
-    cfg = load_config(path, overrides={"q": 2.0}, environ={"PEIERLS_T": "0.7", "PEIERLS_Q": "1.8"})
-    assert cfg.t == 0.7  # env beats file
-    assert cfg.q == 2.0  # CLI beats env
+    assert main(["spectrum", "--config", str(path), "--set", "q=2.0", "--set", "q = 1.75", "-o", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "spectrum.json").read_text())["config"]
+    assert (config["t"], config["q"], config["big_l"]) == (0.5, 1.75, RunConfig().big_l)  # the last --set wins
+
+
+def test_cli_ignores_peierls_environment(tmp_path, monkeypatch):
+    argv = ["spectrum", "--reference", "double_well", "-o"]
+    assert main([*argv, str(tmp_path / "plain")]) == 0
+    for name, value in (("PEIERLS_T", "0.5"), ("PEIERLS_WORKERS", "2"), ("PEIERLS_BOGUS", "x")):
+        monkeypatch.setenv(name, value)
+    assert main([*argv, str(tmp_path / "environ")]) == 0
+    assert without_timings(tmp_path / "environ") == without_timings(tmp_path / "plain")
+
+
+def test_cli_malformed_set_exits_2(tmp_path, capsys):
+    assert main(["spectrum", "--reference", "double_well", "--set", "x", "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: --set: expected 'key = value', got 'x'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invalid_field_values():
@@ -157,42 +173,40 @@ def test_cli_out_of_range_input_exits_2(tmp_path, capsys, command, setting, mess
     assert list(tmp_path.iterdir()) == []
 
 
-def run_naming_field(tmp_path, monkeypatch, source, field, value):
-    """Run `dynamics` with `field` set in a config file, a --set or the environment."""
+def run_naming_field(tmp_path, source, field, value):
+    """Run `dynamics` with `field` set in a config file or a --set."""
     args = ["dynamics", "-o", str(tmp_path / "out")]
     if source == "config":
         args += ["--config", str(write_cfg(tmp_path, f"{field} = {value}\n"))]
-    elif source == "set":
-        args += ["--set", f"{field}={value}"]
     else:
-        monkeypatch.setenv(f"PEIERLS_{field.upper()}", value)
+        args += ["--set", f"{field}={value}"]
     return main(args)
 
 
-@pytest.mark.parametrize("source", ["config", "set", "env"])
-def test_cli_strict_paper_is_an_unknown_field(tmp_path, capsys, monkeypatch, source):
-    assert run_naming_field(tmp_path, monkeypatch, source, "strict_paper", "true") == 2
+@pytest.mark.parametrize("source", ["config", "set"])
+def test_cli_strict_paper_is_an_unknown_field(tmp_path, capsys, source):
+    assert run_naming_field(tmp_path, source, "strict_paper", "true") == 2
     assert "unknown field 'strict_paper'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", ["config", "set", "env"])
-def test_cli_phonon_norm_is_an_unknown_field(tmp_path, capsys, monkeypatch, source):
+@pytest.mark.parametrize("source", ["config", "set"])
+def test_cli_phonon_norm_is_an_unknown_field(tmp_path, capsys, source):
     # the phonon energy is per unit cell, the one normalization the kink and oscillator layers use
-    assert run_naming_field(tmp_path, monkeypatch, source, "phonon_norm", "per-cell") == 2
+    assert run_naming_field(tmp_path, source, "phonon_norm", "per-cell") == 2
     assert "unknown field 'phonon_norm'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", ["config", "set", "env"])
-def test_cli_hysteresis_is_an_unknown_field(tmp_path, capsys, monkeypatch, source):
+@pytest.mark.parametrize("source", ["config", "set"])
+def test_cli_hysteresis_is_an_unknown_field(tmp_path, capsys, source):
     # z is frozen, so the lattice wall is too: hysteresis tuned a re-anchoring that is gone
-    assert run_naming_field(tmp_path, monkeypatch, source, "hysteresis", "0.25") == 2
+    assert run_naming_field(tmp_path, source, "hysteresis", "0.25") == 2
     assert "unknown field 'hysteresis'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", ["config", "set", "env"])
-def test_cli_workers_is_an_unknown_field(tmp_path, capsys, monkeypatch, source):
+@pytest.mark.parametrize("source", ["config", "set"])
+def test_cli_workers_is_an_unknown_field(tmp_path, capsys, source):
     # grids are arrays evaluated in one process, so no field holds a worker count
-    assert run_naming_field(tmp_path, monkeypatch, source, "workers", "2") == 2
+    assert run_naming_field(tmp_path, source, "workers", "2") == 2
     assert "unknown field 'workers'" in capsys.readouterr().err
 
 
@@ -208,7 +222,7 @@ def test_cli_workers_flag_is_range_checked_and_read_by_nothing(tmp_path, capsys)
 
 
 def test_load_config_parses_a_string_override():
-    # a str override goes through the parser config files, PEIERLS_* and --set use
+    # a str override goes through the parser config files and --set use
     path = reference_config_path("kink_dynamics")
     assert load_config(path, {"kink_steps": "25", "seed_rings": "0.1, 0.2"}) == load_config(
         path, {"kink_steps": 25, "seed_rings": (0.1, 0.2)})
@@ -742,6 +756,16 @@ def test_cli_dynamics_non_finite_trajectory_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert err == "numerical error: trajectory became non-finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reference, x0", [("kink_dynamics", "1"), ("kink_dynamics", "150"), ("kink_dynamics", "600"),
+                                           ("double_well", "0.3"), ("double_well", "150"), ("double_well", "2000")])
+def test_cli_dynamics_run_away_within_a_step_exits_3(tmp_path, capsys, reference, x0):
+    # the run diverges inside one RK4 step, where a stage overflows cosh or reaches a NaN location
+    out = tmp_path / "out"
+    assert main(["dynamics", "--reference", reference, "--set", f"x0={x0}", "-o", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical error: trajectory became non-finite\n"
     assert not out.exists()
 
 

@@ -133,7 +133,7 @@ def test_one_integrate_step_is_a_hand_rk4_step_of_ode_rhs(x, v):
     assert traj.final.t == dt
 
 
-def hand_rk4(params, x, v, dt, steps, settle_tol=None):
+def hand_rk4(params, x, v, dt, steps, settle_tol=0.0):
     """`integrate`'s loop written out on `ode_rhs`: the (t, x, v) lists, the termination and the last k1 dv/dt."""
     t, ts, xs, vs, dv_dt = 0.0, [0.0], [x], [v], None
     for _ in range(steps):
@@ -144,6 +144,8 @@ def hand_rk4(params, x, v, dt, steps, settle_tol=None):
             k4 = ode_rhs(params, PhaseState(x + dt * k3[0], v + dt * k3[1]))
         except DomainError:
             return ts, xs, vs, "domain-exit", dv_dt
+        except (OverflowError, ValueError):
+            return ts, xs, vs, "non-finite", dv_dt
         x += dt * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
         v += dt * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
         t += dt
@@ -153,12 +155,12 @@ def hand_rk4(params, x, v, dt, steps, settle_tol=None):
         xs.append(x)
         vs.append(v)
         dv_dt = k1[1]
-        if settle_tol is not None and abs(v) < settle_tol and abs(dv_dt) < settle_tol:
+        if abs(v) < settle_tol and abs(dv_dt) < settle_tol:
             return ts, xs, vs, "settled", dv_dt
     return ts, xs, vs, "completed", dv_dt
 
 
-@pytest.mark.parametrize("case", ["reference", "short", "domain-exit", "cusp"])
+@pytest.mark.parametrize("case", ["reference", "short", "domain-exit", "cusp", "run-away"])
 def test_whole_integrate_run_is_a_hand_rk4_loop_of_ode_rhs(case):
     # bit for bit over every step: `integrate`'s stage closure and `drive_kernel` (inside
     # `ode_rhs`) must stay one formula, with the same factors, operands and order
@@ -169,16 +171,27 @@ def test_whole_integrate_run_is_a_hand_rk4_loop_of_ode_rhs(case):
         "short": (0.03, 0.0, "completed"),
         "domain-exit": (0.4, 2.0, "domain-exit"),
         "cusp": (0.0, 0.1, "settled"),  # the first stage samples the cusp at u = 0
+        "run-away": (0.3, 0.0, "non-finite"),  # on double_well a stage's cosh overflows after ~1,000 steps
     }[case]
     if case == "short":
-        steps, settle_tol = 60, None
+        steps, settle_tol = 60, 0.0
     elif case == "domain-exit":
-        params, dt, steps, settle_tol = ModelParams(t=0.01, zeta=1.0, kappa=0.0, big_l=8, q=1.5, w=-3.0), 0.05, 2000, None
+        params, dt, steps, settle_tol = ModelParams(t=0.01, zeta=1.0, kappa=0.0, big_l=8, q=1.5, w=-3.0), 0.05, 2000, 0.0
+    elif case == "run-away":
+        params = load_config(reference_config_path("double_well")).model_params()
     traj = integrate(params, PhaseState(x, v), dt, steps, settle_tol=settle_tol)
     ts, xs, vs, termination, dv_dt = hand_rk4(params, x, v, dt, steps, settle_tol)
     assert termination == traj.termination == expected
     assert (traj.t, traj.x, traj.v, traj.dv_dt) == (ts, xs, vs, dv_dt)
     assert len(ts) > 2
+
+
+@pytest.mark.parametrize("x0", [150.0, 600.0], ids=["non-finite-m", "cosh-overflow"])
+def test_run_away_within_the_first_step_is_non_finite(x0):
+    # the first stage's slope sends a later stage past cosh's range (or to a NaN location): no step completes
+    traj = integrate(reference_params(), PhaseState(x0, 0.0), dt=0.01, steps=10)
+    assert traj.termination == "non-finite"
+    assert traj.states == [PhaseState(x0, 0.0)]
 
 
 def test_start_on_cusp_with_velocity_settles():

@@ -201,6 +201,15 @@ def test_midgap_states_present():
     assert in_gap.sum() >= 1
 
 
+@pytest.mark.parametrize("t", [1e-14, 1e-100])
+def test_midgap_states_present_at_small_hopping(t):
+    # the gap edge scales with t, so the in-gap margin is relative: an absolute 1e-12 would exceed the edge
+    cfg = reference_config()
+    p = load_config(reference_config_path("kink_dynamics"), {"t": t}).model_params()
+    _, _, in_gap = kink_spectrum(p, KinkConfiguration(n=cfg.kink_site, z=z_min(), n_sites=cfg.n_sites))
+    assert in_gap.sum() == 2
+
+
 def test_energy_translation_invariance_in_bulk():
     p = reference_params()
     z = z_min()
