@@ -90,17 +90,22 @@ def _slope_kernel(params: ModelParams) -> Callable[[float], tuple[float, float]]
     return slopes
 
 
-def _gradient_and_hessian(
-    params: ModelParams, slopes: Callable, re: float, im: float
-) -> tuple[float, float, float, float, float]:
-    """Gradient and Hessian of the total density w.r.t. (Re z, Im z) from one `slopes` call
-    (a `_slope_kernel` of `params`), as floats (g_re, g_im, h_rr, h_ri, h_ii): the phonon
-    diagonal plus 8 d2E_el/d(loc)2 (zeta, kappa)^T (zeta, kappa)."""
+def _density_derivatives(params: ModelParams) -> Callable[[float, float], tuple[float, float, float, float, float]]:
+    """`derivatives(re, im)` -> (g_re, g_im, h_rr, h_ri, h_ii), gradient and Hessian of the total density w.r.t.
+    (Re z, Im z) from one `slopes` call: the phonon diagonal plus 8 d2E_el/d(loc)2 (zeta, kappa)^T (zeta, kappa).
+    The `_slope_kernel`, zeta, kappa and `state_location`'s 2 sqrt 2 are bound once, when it is built."""
+    slopes = _slope_kernel(params)
     (c_re, c_im), zeta, kappa = _PHONON_CURVATURES, params.zeta, params.kappa
-    d1, d2 = slopes(state_location(params, CoherentAmplitude(re, im)))
-    g = d1 * 2.0 * math.sqrt(2.0)
-    c = 8.0 * d2 if zeta * zeta + kappa * kappa else 0.0  # both ~0: loc = 0 (d2 = -inf) at every z, drops out
-    return c_re * re + g * zeta, c_im * im + g * kappa, c_re + c * zeta * zeta, c * zeta * kappa, c_im + c * kappa * kappa
+    root8 = 2.0 * math.sqrt(2.0)  # d(loc)/d(zeta Re z + kappa Im z)
+    coupled = bool(zeta * zeta + kappa * kappa)  # both ~0: loc = 0 (d2 = -inf) at every z, drops out
+
+    def derivatives(re: float, im: float) -> tuple[float, float, float, float, float]:
+        d1, d2 = slopes(root8 * (zeta * re + kappa * im))
+        g = d1 * root8
+        c = 8.0 * d2 if coupled else 0.0
+        return c_re * re + g * zeta, c_im * im + g * kappa, c_re + c * zeta * zeta, c * zeta * kappa, c_im + c * kappa * kappa
+
+    return derivatives
 
 
 def electronic_density_modesum(params: ModelParams, z: CoherentAmplitude) -> float:
@@ -197,7 +202,8 @@ def find_critical_points(
     """Damped Newton descent on the gradient from each seed.
 
     The iterate, gradient and Hessian are plain floats, and gradient and
-    analytic Hessian come from one slope-kernel evaluation per iterate.  The
+    analytic Hessian come from one call of a `_density_derivatives` closure,
+    built once per search, and so one slope-kernel evaluation per iterate.  The
     step solves the 2x2 Newton system in closed form; it is -grad where the
     determinant is 0 or not finite (a Hessian entry is, at loc = 0).
     A seed whose iterate comes within 1e-6 of a point already found stops
@@ -211,24 +217,25 @@ def find_critical_points(
     out of the domain included; the CLI writes it as `newton_evaluations`,
     next to `max_gradient_norm`, the largest `gradient_norm` of the points.
     """
-    slopes = _slope_kernel(params)
+    derivatives = _density_derivatives(params)
     found = CriticalPoints()
     found.seeds = dict.fromkeys(("tried", "converged", "skipped", "deduplicated"), 0)
-    found.evaluations = 0
-
-    def evaluate(re: float, im: float) -> tuple[float, float, float, float, float]:
-        found.evaluations += 1
-        return _gradient_and_hessian(params, slopes, re, im)
+    locations: list[tuple[float, float]] = []  # (re, im) of the points found so far, in order
+    evaluations, hypot = 0, math.hypot
 
     def known(re: float, im: float) -> bool:
-        return any(math.hypot(re - c.location[0], im - c.location[1]) < 1e-6 for c in found)
+        for x, y in locations:
+            if hypot(re - x, im - y) < 1e-6:
+                return True
+        return False
 
     for seed in seeds:
         found.seeds["tried"] += 1
         re, im = map(float, seed)
         converged = False
         try:
-            g_re, g_im, h_rr, h_ri, h_ii = evaluate(re, im)
+            evaluations += 1
+            g_re, g_im, h_rr, h_ri, h_ii = derivatives(re, im)
             for _ in range(max_iter):
                 gnorm = _norm(g_re, g_im)
                 if gnorm < tol or known(re, im):
@@ -248,8 +255,9 @@ def find_critical_points(
                 lam = 1.0
                 for _ in range(40):
                     t_re, t_im = re + lam * s_re, im + lam * s_im
+                    evaluations += 1
                     try:
-                        trial = evaluate(t_re, t_im)
+                        trial = derivatives(t_re, t_im)
                     except (DomainError, OverflowError):  # cosh(loc) overflows past loc ~ 710
                         lam *= 0.5
                         continue
@@ -276,6 +284,7 @@ def find_critical_points(
             (c_re, c_im), zeta2, kappa2 = _PHONON_CURVATURES, params.zeta**2, params.kappa**2
             across = (c_re * kappa2 + c_im * zeta2) / (zeta2 + kappa2)
             eigs = np.array([-math.inf, across])
+        locations.append((re, im))
         found.append(
             CriticalPoint(
                 location=(re, im),
@@ -284,4 +293,5 @@ def find_critical_points(
                 kind=_classify(eigs),
             )
         )
+    found.evaluations = evaluations
     return found

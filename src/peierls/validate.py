@@ -24,7 +24,7 @@ from scipy.special.cython_special import ellipkm1  # the slope kernel's K
 
 from .algebra import ModeEnergies, mode_eigenvalues, mode_energies, xi
 from .kink import KinkConfiguration, kink_spectrum, sublattice_svd, _offdiagonal
-from .landscape import _gradient_and_hessian, _slope_kernel, electronic_density_modesum, energy_densities
+from .landscape import _density_derivatives, _slope_kernel, electronic_density_modesum, energy_densities
 from .model import (
     CoherentAmplitude,
     ModelParams,
@@ -196,8 +196,8 @@ def _landscape_errors(params: ModelParams, points: np.ndarray) -> tuple[float, f
                          np.concatenate([im, -im, im, im, im + h, im - h]))["e_total"].reshape(6, len(points))
     parity = float(np.max(np.abs(e[0] - e[1])))
     fd = np.column_stack(((e[2] - e[3]) / (2 * h), (e[4] - e[5]) / (2 * h)))
-    slopes = _slope_kernel(params)
-    grads = [np.array(_gradient_and_hessian(params, slopes, *z)[:2]) for z in points.tolist()]
+    derivatives = _density_derivatives(params)
+    grads = [np.array(derivatives(*z)[:2]) for z in points.tolist()]
     # hypot cannot overflow at large t; np.max keeps a NaN (a neighbour outside the domain),
     # so the check fails instead of skipping it
     return parity, float(np.max([math.hypot(*(g - d)) / max(1.0, math.hypot(*d)) for g, d in zip(grads, fd)]))

@@ -20,8 +20,7 @@ from peierls.config import load_config, reference_config_path
 from peierls.dynamics import PhaseState, integrate
 from peierls.kink import KinkConfiguration, kink_spectrum, propagate_kink
 from peierls.landscape import (
-    _gradient_and_hessian,
-    _slope_kernel,
+    _density_derivatives,
     electronic_density_modesum,
     energy_densities,
     find_critical_points,
@@ -221,7 +220,7 @@ def test_criterion_6_gradient_correctness():
     checked = 0
     while checked < 50:
         re, im = rng.uniform(-0.1, 0.1, size=2)
-        grad = np.array(_gradient_and_hessian(p, _slope_kernel(p), re, im)[:2])
+        grad = np.array(_density_derivatives(p)(re, im)[:2])
         e = energy_densities(p, [re + h, re - h, re, re], [im, im, im + h, im - h])["e_total"]
         fd = np.array([(e[0] - e[1]) / (2 * h), (e[2] - e[3]) / (2 * h)])
         worst = max(worst, float(np.linalg.norm(grad - fd)) / max(1.0, float(np.linalg.norm(fd))))

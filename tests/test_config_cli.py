@@ -32,7 +32,7 @@ from peierls.config import (
     parse_config_file,
     reference_config_path,
 )
-from peierls.landscape import _gradient_and_hessian, _slope_kernel, energy_densities, find_critical_points, landscape_grid
+from peierls.landscape import _density_derivatives, energy_densities, find_critical_points, landscape_grid
 from peierls.model import CoherentAmplitude
 
 
@@ -611,7 +611,7 @@ def test_validate_landscape_gradient_step_shrinks_next_to_the_cusp():
     h = 1e-6
     e = energy_densities(params, [re + h, re - h, re, re], [im, im, im + h, im - h])["e_total"]
     fixed = np.array([(e[0] - e[1]) / (2 * h), (e[2] - e[3]) / (2 * h)])
-    analytic = np.array(_gradient_and_hessian(params, _slope_kernel(params), re, im)[:2])
+    analytic = np.array(_density_derivatives(params)(re, im)[:2])
     assert np.linalg.norm(analytic - fixed) / max(1.0, np.linalg.norm(fixed)) > 1e-6
 
 

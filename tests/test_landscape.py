@@ -12,9 +12,13 @@ import peierls.landscape
 from peierls.algebra import xi
 from peierls.config import load_config, reference_config_path
 from peierls.landscape import (
+    _PHONON_CURVATURES,
+    CriticalPoint,
+    CriticalPoints,
     DomainError,
     _classify,
-    _gradient_and_hessian,
+    _density_derivatives,
+    _norm,
     _slope_kernel,
     electronic_density_modesum,
     energy_densities,
@@ -53,7 +57,7 @@ def total(params, re, im):
 
 
 def gradient(params, z):
-    return np.array(_gradient_and_hessian(params, _slope_kernel(params), z.re, z.im)[:2])
+    return np.array(_density_derivatives(params)(z.re, z.im)[:2])
 
 
 def test_phonon_density():
@@ -372,11 +376,11 @@ def numpy_critical_points(params, seeds, tol=1e-10, max_iter=200, max_step=None)
     """Oracle for `find_critical_points`: the same damped Newton search on numpy 2-vectors, with
     `np.linalg.solve` for the step, `np.linalg.norm` for the norms and `eigvalsh` for every point.
     Returns (points, seeds) with points as (location, gradient_norm, hessian_eigs, kind) tuples."""
-    slopes = _slope_kernel(params)
+    derivatives = _density_derivatives(params)
     found, counts = [], dict.fromkeys(("tried", "converged", "skipped", "deduplicated"), 0)
 
     def evaluate(pt):
-        g_re, g_im, h_rr, h_ri, h_ii = _gradient_and_hessian(params, slopes, float(pt[0]), float(pt[1]))
+        g_re, g_im, h_rr, h_ri, h_ii = derivatives(float(pt[0]), float(pt[1]))
         return np.array([g_re, g_im]), np.array([[h_rr, h_ri], [h_ri, h_ii]])
 
     def known(pt):
@@ -460,6 +464,7 @@ def assert_matches_numpy_oracle(params, seeds, tol, max_step):
 def test_newton_matches_numpy_oracle_on_references(reference, angles):
     cfg = load_config(reference_config_path(reference), {"seed_angles": angles})
     assert_matches_numpy_oracle(cfg.model_params(), cfg.seeds(), cfg.newton_tol, cfg.max_step)
+    assert_matches_per_call_search(cfg.model_params(), cfg.seeds(), cfg.newton_tol, cfg.max_step)
 
 
 @settings(max_examples=40, deadline=None)
@@ -475,6 +480,131 @@ def test_newton_matches_numpy_oracle_across_parameters(zeta, kappa, q, w):
     cfg, p = double_well_params()
     params = ModelParams(t=p.t, zeta=zeta, kappa=kappa, big_l=p.big_l, q=q, w=w)
     assert_matches_numpy_oracle(params, cfg.seeds(), cfg.newton_tol, cfg.max_step)
+
+
+def per_call_gradient_and_hessian(params, slopes, re, im):
+    """The per-evaluation form that `_density_derivatives` replaced, kept verbatim as an oracle: it builds a
+    `CoherentAmplitude`, calls `state_location` and reads zeta and kappa off `params` at every call."""
+    (c_re, c_im), zeta, kappa = _PHONON_CURVATURES, params.zeta, params.kappa
+    d1, d2 = slopes(state_location(params, CoherentAmplitude(re, im)))
+    g = d1 * 2.0 * math.sqrt(2.0)
+    c = 8.0 * d2 if zeta * zeta + kappa * kappa else 0.0  # both ~0: loc = 0 (d2 = -inf) at every z, drops out
+    return c_re * re + g * zeta, c_im * im + g * kappa, c_re + c * zeta * zeta, c * zeta * kappa, c_im + c * kappa * kappa
+
+
+def per_call_critical_points(params, seeds, tol=1e-10, max_iter=200, max_step=None):
+    """Bitwise oracle for `find_critical_points`: the search as it was before its evaluation became one
+    closure call, kept verbatim (an `evaluate` wrapper that counts on the result, `known` over its points)."""
+    slopes = _slope_kernel(params)
+    found = CriticalPoints()
+    found.seeds = dict.fromkeys(("tried", "converged", "skipped", "deduplicated"), 0)
+    found.evaluations = 0
+
+    def evaluate(re, im):
+        found.evaluations += 1
+        return per_call_gradient_and_hessian(params, slopes, re, im)
+
+    def known(re, im):
+        return any(math.hypot(re - c.location[0], im - c.location[1]) < 1e-6 for c in found)
+
+    for seed in seeds:
+        found.seeds["tried"] += 1
+        re, im = map(float, seed)
+        converged = False
+        try:
+            g_re, g_im, h_rr, h_ri, h_ii = evaluate(re, im)
+            for _ in range(max_iter):
+                gnorm = _norm(g_re, g_im)
+                if gnorm < tol or known(re, im):
+                    converged = True
+                    break
+                det = h_rr * h_ii - h_ri * h_ri  # non-finite when an entry is
+                if det and math.isfinite(det):
+                    s_re, s_im = (h_ri * g_im - h_ii * g_re) / det, (h_ri * g_re - h_rr * g_im) / det
+                else:
+                    s_re, s_im = -g_re, -g_im
+                if max_step is not None:
+                    slen = _norm(s_re, s_im)
+                    if slen > max_step:
+                        scale = max_step / slen
+                        s_re, s_im = s_re * scale, s_im * scale
+                # backtracking damping on the gradient norm
+                lam = 1.0
+                for _ in range(40):
+                    t_re, t_im = re + lam * s_re, im + lam * s_im
+                    try:
+                        trial = evaluate(t_re, t_im)
+                    except (DomainError, OverflowError):  # cosh(loc) overflows past loc ~ 710
+                        lam *= 0.5
+                        continue
+                    if _norm(trial[0], trial[1]) < gnorm:
+                        re, im = t_re, t_im
+                        g_re, g_im, h_rr, h_ri, h_ii = trial
+                        break
+                    lam *= 0.5
+                else:
+                    break
+        except (DomainError, OverflowError):
+            pass
+        if not converged:
+            found.seeds["skipped"] += 1
+            continue
+        found.seeds["converged"] += 1
+        if known(re, im):
+            found.seeds["deduplicated"] += 1
+            continue
+        hess = np.array([[h_rr, h_ri], [h_ri, h_ii]])
+        if np.isfinite(hess).all():
+            eigs = np.linalg.eigvalsh(hess)
+        else:  # loc = 0: -inf along (zeta, kappa), and across it only the phonons curve
+            (c_re, c_im), zeta2, kappa2 = _PHONON_CURVATURES, params.zeta**2, params.kappa**2
+            across = (c_re * kappa2 + c_im * zeta2) / (zeta2 + kappa2)
+            eigs = np.array([-math.inf, across])
+        found.append(
+            CriticalPoint(
+                location=(re, im),
+                gradient_norm=_norm(g_re, g_im),
+                hessian_eigs=(float(eigs[0]), float(eigs[1])),
+                kind=_classify(eigs),
+            )
+        )
+    return found
+
+
+def assert_matches_per_call_search(params, seeds, tol, max_step):
+    points = find_critical_points(params, seeds, tol=tol, max_step=max_step)
+    oracle = per_call_critical_points(params, seeds, tol=tol, max_step=max_step)
+    assert list(points) == list(oracle)  # locations, gradient norms and eigenvalues bit for bit
+    assert points.seeds == oracle.seeds and points.evaluations == oracle.evaluations
+
+
+_DOUBLE_WELL_T = load_config(reference_config_path("double_well")).t  # the two examples' t
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t=st.floats(min_value=0.005, max_value=1.5),
+    zeta=st.floats(min_value=0.5, max_value=2.5),
+    kappa=st.floats(min_value=0.0, max_value=1.0),
+    q=st.floats(min_value=1.0, max_value=2.0),
+    w=st.floats(min_value=-2.0, max_value=0.0),
+)
+@example(t=_DOUBLE_WELL_T, zeta=1.5354912935352618, kappa=0.8250418749670223, q=1.53125, w=-0.21875)  # 1.05e-15 apart
+@example(t=_DOUBLE_WELL_T, zeta=1.485075671646169, kappa=0.7460097097661532, q=1.0, w=0.0)  # 3.88e-17 apart
+def test_newton_search_matches_the_per_call_search_bitwise_across_parameters(t, zeta, kappa, q, w):
+    cfg, p = double_well_params()
+    params = ModelParams(t=t, zeta=zeta, kappa=kappa, big_l=p.big_l, q=q, w=w)
+    assert_matches_per_call_search(params, cfg.seeds(), cfg.newton_tol, cfg.max_step)
+
+
+@pytest.mark.parametrize("reference, evaluations", [("double_well", 813), ("kink_dynamics", 625)])
+def test_benchmark_search_setting_is_pinned(reference, evaluations):
+    # the critical-point search at the benchmark's 64 seed angles: the manifest pins only the default 8
+    cfg = load_config(reference_config_path(reference), {"seed_angles": 64})
+    points = find_critical_points(cfg.model_params(), cfg.seeds(), tol=cfg.newton_tol, max_step=cfg.max_step)
+    assert points.seeds == {"tried": 129, "converged": 129, "skipped": 0, "deduplicated": 126}
+    assert points.evaluations == evaluations
+    assert sorted(c.kind for c in points) == ["minimum", "minimum", "saddle"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -494,7 +624,7 @@ def test_larger_hessian_eigenvalue_lies_between_the_phonon_curvatures(t, zeta, k
     # by interlacing the larger eigenvalue lies in [4, 16], so no critical point is a maximum
     params = ModelParams(t=t, zeta=zeta, kappa=kappa, q=q, w=w)
     try:
-        _, _, h_rr, h_ri, h_ii = _gradient_and_hessian(params, _slope_kernel(params), re, im)
+        _, _, h_rr, h_ri, h_ii = _density_derivatives(params)(re, im)
     except DomainError:
         return
     hess = np.array([[h_rr, h_ri], [h_ri, h_ii]])
@@ -519,7 +649,7 @@ def test_newton_step_falls_back_to_minus_gradient(monkeypatch, d2):
 
     monkeypatch.setattr(peierls.landscape, "_slope_kernel", stub_kernel)
     re, im = 0.02, 0.03
-    g_re, g_im, *_ = _gradient_and_hessian(params, stub_kernel(params), re, im)
+    g_re, g_im, *_ = _density_derivatives(params)(re, im)
     locs.clear()
     points = find_critical_points(params, [(re, im)], max_iter=1)
     assert points == [] and points.evaluations == len(locs) >= 2
